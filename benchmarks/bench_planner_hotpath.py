@@ -3,8 +3,12 @@
 A regression guard for planning time: it exercises the vectorized fast path
 that dominates per-iteration planning — window-shape table construction, the
 batched cost-model query over unique shapes, and the dense-matrix DP — plus
-the process-backed :class:`~repro.runtime.planner_pool.PlannerPool`, on a
-small model whose profile builds in about a second.  Run it with
+the process-backed :class:`~repro.runtime.planner_pool.PlannerPool`, on
+small models whose profiles build in about a second.  The split table has
+decoder-only (GPT) rows over growing mini-batches, an encoder-decoder (T5)
+row, and a recomputation-retry row in which NONE is infeasible (rejected by
+the singleton gate) before FULL succeeds, as in the planner's mode search.
+Run it with
 
     pytest benchmarks/bench_planner_hotpath.py --benchmark-disable -s
 
@@ -27,12 +31,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.dp_solver import PartitionError
 from repro.core.microbatch import DynamicMicroBatcher
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.costmodel.cost_model import CostModel
 from repro.data.tasks import Sample
 from repro.instructions.store import InstructionStore
 from repro.model.config import ModelArch, ModelConfig
+from repro.model.memory import RecomputeMode
 from repro.runtime.planner_pool import PlannerPool
 
 from common import emit
@@ -47,6 +53,8 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 SPLIT_TIME_LIMIT_S = 1.0
 
 MINIBATCH_SIZES = (64, 192) if SMOKE else (64, 192, 448)
+#: Mini-batch size of the encoder-decoder and recomputation-retry rows.
+T5_MINIBATCH_SAMPLES = 192
 REPEATS = 1 if SMOKE else 3
 
 #: Planner-pool scaling: worker counts compared on the same iteration set.
@@ -67,12 +75,92 @@ BENCH_CONFIG = ModelConfig(
     vocab_size=32000,
 )
 
+BENCH_T5_CONFIG = ModelConfig(
+    name="t5-bench-small",
+    arch=ModelArch.T5,
+    num_layers=8,
+    hidden_size=1024,
+    num_heads=16,
+    kv_channels=64,
+    ffn_hidden_size=4096,
+    vocab_size=32000,
+)
 
-def synthetic_minibatch(num_samples: int, seed: int) -> list[Sample]:
+
+def synthetic_minibatch(
+    num_samples: int, seed: int, encoder_decoder: bool = False
+) -> list[Sample]:
     """Seeded heavy-tailed sample lengths (mimicking the FLAN mixture)."""
     rng = np.random.default_rng(seed)
     lengths = np.clip(rng.lognormal(mean=5.0, sigma=0.8, size=num_samples), 8, 2040)
-    return [Sample(input_tokens=int(n), target_tokens=0) for n in lengths]
+    if not encoder_decoder:
+        return [Sample(input_tokens=int(n), target_tokens=0) for n in lengths]
+    targets = np.clip(rng.lognormal(mean=4.0, sigma=0.8, size=num_samples), 1, 1020)
+    return [Sample(input_tokens=int(n), target_tokens=int(t)) for n, t in zip(lengths, targets)]
+
+
+def time_splits(batcher, samples, modes) -> tuple[list[float], object]:
+    """Per-repeat time to try ``modes`` in turn until one partitions.
+
+    Each repeat perturbs one sample so the one-slot geometry cache cannot
+    serve the timing run; returns the times and the last DP solution.
+    """
+    elapsed = []
+    for repeat in range(REPEATS):
+        perturbed = list(samples)
+        perturbed[0] = Sample(
+            input_tokens=samples[0].input_tokens + repeat,
+            target_tokens=samples[0].target_tokens,
+        )
+        start = time.perf_counter()
+        for mode in modes:
+            try:
+                batcher.split(perturbed, mode)
+            except PartitionError:
+                continue
+            break
+        elapsed.append(time.perf_counter() - start)
+    return elapsed, batcher.last_solution
+
+
+def retry_limit(cost_model, samples) -> float:
+    """A per-micro-batch limit some sample alone exceeds under NONE but
+    every sample meets under FULL recomputation."""
+    batch = np.ones(len(samples))
+    enc = np.array([s.input_tokens for s in samples], dtype=float)
+    dec = np.array([s.target_tokens for s in samples], dtype=float)
+    _, none_need = cost_model.window_costs_arrays(batch, enc, dec, RecomputeMode.NONE)
+    _, full_need = cost_model.window_costs_arrays(batch, enc, dec, RecomputeMode.FULL)
+    assert full_need.max() < none_need.max()
+    return float(full_need.max() + none_need.max()) / 2
+
+
+def assert_matches_scalar(cost_model, samples, modes=(RecomputeMode.NONE,), **kwargs):
+    """The fast path partitions exactly like the scalar reference, and an
+    infeasible mode fails with the same error on both."""
+    fast = DynamicMicroBatcher(cost_model, tmax_sample_count=16, vectorized=True, **kwargs)
+    slow = DynamicMicroBatcher(cost_model, tmax_sample_count=16, vectorized=False, **kwargs)
+    for mode in modes[:-1]:
+        with pytest.raises(PartitionError) as fast_error:
+            fast.split(samples, mode)
+        with pytest.raises(PartitionError) as slow_error:
+            slow.split(samples, mode)
+        assert str(fast_error.value) == str(slow_error.value)
+    fast.split(samples, modes[-1])
+    slow.split(samples, modes[-1])
+    assert fast.last_solution.boundaries == slow.last_solution.boundaries
+    assert fast.last_solution.objective == slow.last_solution.objective
+
+
+def _row(workload, num_samples, elapsed, solution):
+    return [
+        workload,
+        num_samples,
+        round(sum(elapsed) / len(elapsed), 4),
+        round(max(elapsed), 4),
+        solution.cost_evaluations,
+        solution.num_microbatches,
+    ]
 
 
 def run():
@@ -83,41 +171,40 @@ def run():
     for num_samples in MINIBATCH_SIZES:
         batcher = DynamicMicroBatcher(cost_model, tmax_sample_count=16)
         samples = synthetic_minibatch(num_samples, seed=num_samples)
-        elapsed = []
-        for repeat in range(REPEATS):
-            # Fresh geometry per repeat: perturb one sample so the one-slot
-            # geometry cache cannot serve the timing run.
-            perturbed = list(samples)
-            perturbed[0] = Sample(
-                input_tokens=samples[0].input_tokens + repeat, target_tokens=0
-            )
-            start = time.perf_counter()
-            batcher.split(perturbed)
-            elapsed.append(time.perf_counter() - start)
-        solution = batcher.last_solution
-        rows.append(
-            [
-                num_samples,
-                round(sum(elapsed) / len(elapsed), 4),
-                round(max(elapsed), 4),
-                solution.cost_evaluations,
-                solution.num_microbatches,
-            ]
-        )
+        elapsed, solution = time_splits(batcher, samples, [RecomputeMode.NONE])
+        rows.append(_row("gpt", num_samples, elapsed, solution))
 
-    # Correctness guard: the fast path must match the scalar reference.
-    samples = synthetic_minibatch(MINIBATCH_SIZES[0], seed=7)
-    fast = DynamicMicroBatcher(cost_model, tmax_sample_count=16, vectorized=True)
-    slow = DynamicMicroBatcher(cost_model, tmax_sample_count=16, vectorized=False)
-    fast.split(samples)
-    slow.split(samples)
-    assert fast.last_solution.boundaries == slow.last_solution.boundaries
-    assert fast.last_solution.objective == slow.last_solution.objective
+    t5_cost_model = CostModel(
+        BENCH_T5_CONFIG, num_stages=2, max_profile_batch_size=128, max_profile_seq_len=2048
+    )
+    samples = synthetic_minibatch(T5_MINIBATCH_SAMPLES, seed=5, encoder_decoder=True)
+    batcher = DynamicMicroBatcher(t5_cost_model, tmax_sample_count=16)
+    elapsed, solution = time_splits(batcher, samples, [RecomputeMode.NONE])
+    rows.append(_row("t5", T5_MINIBATCH_SAMPLES, elapsed, solution))
+    retry = DynamicMicroBatcher(
+        t5_cost_model,
+        tmax_sample_count=16,
+        per_microbatch_memory_bytes=retry_limit(t5_cost_model, samples),
+    )
+    retry_modes = [RecomputeMode.NONE, RecomputeMode.FULL]
+    elapsed, solution = time_splits(retry, samples, retry_modes)
+    rows.append(_row("t5-retry-none-full", T5_MINIBATCH_SAMPLES, elapsed, solution))
+
+    # Correctness guards: the fast path must match the scalar reference.
+    assert_matches_scalar(cost_model, synthetic_minibatch(MINIBATCH_SIZES[0], seed=7))
+    small = synthetic_minibatch(MINIBATCH_SIZES[0], seed=11, encoder_decoder=True)
+    assert_matches_scalar(t5_cost_model, small)
+    assert_matches_scalar(
+        t5_cost_model,
+        small,
+        modes=retry_modes,
+        per_microbatch_memory_bytes=retry_limit(t5_cost_model, small),
+    )
     return rows
 
 
 HEADERS = [
-    "minibatch_samples", "mean_split_s", "max_split_s",
+    "workload", "minibatch_samples", "mean_split_s", "max_split_s",
     "dp_cost_evaluations", "num_microbatches",
 ]
 
@@ -127,19 +214,18 @@ def test_planner_hotpath(benchmark, capsys):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
         "planner_hotpath",
-        "Planner hot path: vectorized DP split time (solver only)",
+        "Planner hot path: vectorized DP split time (GPT, T5, T5 NONE->FULL retry)",
         HEADERS,
         rows,
         capsys,
     )
     # Split time grows with the mini-batch but stays far below the scalar
     # regime; a regression to per-window Python cost evaluation trips this.
-    mean_times = [row[1] for row in rows]
     if not SMOKE:
-        assert mean_times[-1] < SPLIT_TIME_LIMIT_S
+        assert all(row[2] < SPLIT_TIME_LIMIT_S for row in rows)
     # The DP evaluated a deduplicated shape set, not every window.
     for row in rows:
-        num_samples, evaluations = row[0], row[3]
+        num_samples, evaluations = row[1], row[4]
         max_windows = num_samples * min(num_samples, 256)
         assert 0 < evaluations <= max_windows
 

@@ -51,6 +51,14 @@ class PartitionError(ValueError):
     micro-batch already violates the memory limit)."""
 
 
+def singleton_infeasible_error(index: int) -> PartitionError:
+    """The error for sample ``index`` not fitting a micro-batch on its own."""
+    return PartitionError(
+        f"sample {index} alone exceeds the per-micro-batch memory limit; "
+        "increase the device memory limit or enable recomputation"
+    )
+
+
 @dataclass
 class DPSolution:
     """Result of :func:`solve_partition`.
@@ -375,10 +383,7 @@ def solve_partition(
     cache = _CostCache(time_fn, feasible_fn)
     for i in range(num_samples):
         if not cache.feasible(i, i + 1):
-            raise PartitionError(
-                f"sample {i} alone exceeds the per-micro-batch memory limit; "
-                "increase the device memory limit or enable recomputation"
-            )
+            raise singleton_infeasible_error(i)
 
     candidates = _tmax_candidates(
         cache.time, num_samples, max_microbatch_size, tmax_sample_count
@@ -429,11 +434,7 @@ def _solve_partition_table(
 
     singleton_feasible = table.feasible[:, 0]
     if not singleton_feasible.all():
-        index = int(np.argmin(singleton_feasible))
-        raise PartitionError(
-            f"sample {index} alone exceeds the per-micro-batch memory limit; "
-            "increase the device memory limit or enable recomputation"
-        )
+        raise singleton_infeasible_error(int(np.argmin(singleton_feasible)))
 
     candidates = _tmax_candidates(
         table.time, num_samples, max_microbatch_size, tmax_sample_count

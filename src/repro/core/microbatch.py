@@ -7,17 +7,33 @@ the per-micro-batch memory limit, and returns the resulting micro-batches
 in partition order together with the DP solution metadata (used by the
 planning-time experiment and by tests).
 
-The default (vectorized) path precomputes the padded shape of every
-candidate ``[start, start + size)`` window with sliding maxima over the
-ordered sample lengths — O(1) per window when the ordering is monotone, as
-under SORT ordering — dedupes the windows to their unique shapes, costs all
-unique shapes in one batched cost-model query, and hands the resulting
-dense :class:`~repro.core.dp_solver.WindowCostTable` to the DP.  The window
+The default (vectorized) path works on the padded shape of every candidate
+``[start, start + size)`` window, taken from sliding maxima over the ordered
+sample lengths (a handful of numpy ops per mini-batch, for any ordering):
+
+* **Packed dedup.**  Each window's ``(size, enc, dec)`` shape is packed into
+  one int64 key ``(size * R_e + enc) * R_d + dec`` with radices one above
+  the largest length in the mini-batch, and the keys are deduplicated with
+  a 1-D ``np.unique``.  For non-negative components the key order is the
+  lexicographic row order, so the unique shapes and the window → shape
+  index equal those of a row-wise ``np.unique(axis=0)`` over the triples.
+  A mini-batch whose radix product would overflow int64 raises
+  ``ValueError``.
+* **Singleton gate.**  The size-1 shapes sort first among the unique
+  shapes.  They are costed on their own first; if any sample does not fit
+  a micro-batch alone, the mode is rejected with the
+  :class:`~repro.core.dp_solver.PartitionError` the solver would raise,
+  before the rest of the table is costed.  Otherwise the remaining shapes
+  are costed and the two results joined — the interpolation is
+  elementwise, so the values equal those of one query over all shapes.
+
+The costs of the unique shapes are gathered into a dense
+:class:`~repro.core.dp_solver.WindowCostTable` for the DP.  The window
 *geometry* (shapes and their dedup indices) does not depend on the
 recomputation mode, so it is cached and reused across the planner's
-recomputation-mode retries; only the (cached, batched) cost query is
-re-issued per mode.  ``vectorized=False`` selects the scalar reference path,
-which produces identical partitions one cost-model call at a time.
+recomputation-mode retries; only the cost query is re-issued per mode.
+``vectorized=False`` selects the scalar reference path, which produces
+identical partitions one cost-model call at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +43,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.batching.base import BatchingResult, BatchingStrategy, MicroBatch
-from repro.core.dp_solver import DPSolution, WindowCostTable, solve_partition
+from repro.core.dp_solver import (
+    DPSolution,
+    WindowCostTable,
+    singleton_infeasible_error,
+    solve_partition,
+)
 from repro.core.ordering import OrderingMethod, order_samples
 from repro.costmodel.cost_model import CostModel
 from repro.data.tasks import Sample
@@ -40,54 +61,48 @@ def sliding_window_maxima(values: np.ndarray, max_window: int) -> np.ndarray:
 
     Returns an ``(n, max_window)`` array whose ``[start, size - 1]`` entry is
     ``max(values[start:start + size])``; entries for windows running past the
-    end of ``values`` are unspecified.  Non-decreasing inputs (SORT ordering)
-    resolve each window to its last element — one gather, O(1) per window;
-    other orderings fall back to a vectorized running maximum, one numpy op
-    per window size.
+    end of ``values`` are unspecified.  The result is the transposed view of
+    a size-major ``(size - 1, start)`` buffer, filled one band of sizes per
+    numpy op: a window longer than ``span`` is the maximum of its first
+    ``span`` values and of the rest, both windows of earlier bands, so
+    ``span`` doubles from band to band — O(log max_window) ops for any
+    ordering of ``values``.
     """
     values = np.asarray(values)
     n = len(values)
     window = min(max_window, n) if n else 0
-    out = np.empty((n, window), dtype=values.dtype)
-    if n == 0 or window == 0:
-        return out
-    out[:, 0] = values
-    if np.all(np.diff(values) >= 0):
-        for size in range(2, window + 1):
-            out[: n - size + 1, size - 1] = values[size - 1 :]
-    else:
-        for size in range(2, window + 1):
-            np.maximum(
-                out[: n - size + 1, size - 2],
-                values[size - 1 :],
-                out=out[: n - size + 1, size - 1],
-            )
-    return out
+    out = np.empty((window, n), dtype=values.dtype)
+    if window == 0:
+        return out.T
+    out[0] = values
+    span = 1
+    while span < window:
+        top = min(2 * span, window)
+        np.maximum(
+            out[span - 1, None, : n - span],
+            out[: top - span, span:],
+            out=out[span:top, : n - span],
+        )
+        span = top
+    return out.T
 
 
 class _WindowGeometry:
     """Unique window shapes of one ordered mini-batch (mode-independent).
 
-    ``unique`` holds one ``(batch_size, enc_seq_len, dec_seq_len)`` row per
-    distinct window shape; ``inverse`` maps each valid ``(start, size)``
-    window (flattened per ``start_index`` / ``size_index``) to its row.
+    ``unique`` is a ``(3, num_shapes)`` array: its rows are the batch size,
+    encoder and decoder length of each distinct window shape, whose columns
+    are in lexicographic order.  ``rows[start, size - 1]`` is the column of
+    window ``[start, start + size)``, or ``num_shapes`` for a window running
+    past the end of the mini-batch.  The first ``num_singletons`` columns are
+    the size-1 shapes; ``rows[:, 0]`` maps each sample to the column of its
+    singleton window.
     """
 
-    def __init__(
-        self,
-        unique: np.ndarray,
-        inverse: np.ndarray,
-        start_index: np.ndarray,
-        size_index: np.ndarray,
-        num_samples: int,
-        max_window: int,
-    ) -> None:
+    def __init__(self, unique: np.ndarray, rows: np.ndarray, num_singletons: int) -> None:
         self.unique = unique
-        self.inverse = inverse
-        self.start_index = start_index
-        self.size_index = size_index
-        self.num_samples = num_samples
-        self.max_window = max_window
+        self.rows = rows
+        self.num_singletons = num_singletons
 
 
 class DynamicMicroBatcher(BatchingStrategy):
@@ -122,6 +137,8 @@ class DynamicMicroBatcher(BatchingStrategy):
         max_microbatch_size: int = 256,
         vectorized: bool = True,
     ) -> None:
+        if max_microbatch_size < 1:
+            raise ValueError(f"max_microbatch_size must be >= 1, got {max_microbatch_size}")
         super().__init__(decoder_only=not cost_model.config.is_encoder_decoder)
         self.cost_model = cost_model
         self.ordering = OrderingMethod(ordering)
@@ -185,28 +202,35 @@ class DynamicMicroBatcher(BatchingStrategy):
 
         n = len(ordered)
         window = min(self.max_microbatch_size, n)
-        enc_max = sliding_window_maxima(enc, window)
-        dec_max = sliding_window_maxima(dec, window)
-        sizes = np.arange(1, window + 1)[None, :]
-        starts = np.arange(n)[:, None]
-        valid = starts + sizes <= n
-        start_index, size_index = np.nonzero(valid)
-        triples = np.stack(
-            [
-                size_index + 1,
-                enc_max[start_index, size_index],
-                dec_max[start_index, size_index],
-            ],
-            axis=1,
+        enc_radix = int(enc.max()) + 1
+        dec_radix = int(dec.max()) + 1
+        if (window + 1) * enc_radix * dec_radix > 1 << 63:
+            raise ValueError(
+                f"window shapes (size <= {window}, enc < {enc_radix}, dec < {dec_radix}) "
+                "do not pack into an int64 key"
+            )
+        # Size-major (size - 1, start) grids: one packed key per window.
+        keys = np.arange(1, window + 1)[:, None] * enc_radix
+        keys = keys + sliding_window_maxima(enc, window).T
+        keys *= dec_radix
+        keys += sliding_window_maxima(dec, window).T
+        valid = np.arange(n) < (n - np.arange(window))[:, None]
+        # Listed size-major, the keys of sorted samples are nearly sorted;
+        # ``return_index`` makes ``np.unique`` use a stable, run-aware
+        # argsort, which is near-linear on them.
+        unique_keys, _first, inverse = np.unique(
+            keys[valid], return_index=True, return_inverse=True
         )
-        unique, inverse = np.unique(triples, axis=0, return_inverse=True)
+        unique = np.empty((3, len(unique_keys)), dtype=np.int64)
+        rest = np.empty_like(unique_keys)
+        np.divmod(unique_keys, dec_radix, out=(rest, unique[2]))
+        np.divmod(rest, enc_radix, out=(unique[0], unique[1]))
+        rows = np.full((n, window), len(unique_keys), dtype=np.intp)
+        rows.T[valid] = inverse
         geometry = _WindowGeometry(
             unique=unique,
-            inverse=inverse.reshape(-1),
-            start_index=start_index,
-            size_index=size_index,
-            num_samples=n,
-            max_window=window,
+            rows=rows,
+            num_singletons=int(np.searchsorted(unique[0], 2)),
         )
         self._geometry_entry = (key, geometry)
         return geometry
@@ -216,28 +240,39 @@ class DynamicMicroBatcher(BatchingStrategy):
     ) -> WindowCostTable:
         """Dense window time/feasibility tables for the DP fast path.
 
-        One batched cost-model query covers every unique window shape; the
-        results are scattered back to dense ``(start, size)`` tables.
+        The size-1 shapes are costed first; the rest of the unique shapes
+        are costed in one more batched query only when every sample fits a
+        micro-batch alone.  The results are gathered into dense
+        ``(start, size)`` tables.
+
+        Raises:
+            PartitionError: If a sample alone exceeds the per-micro-batch
+                memory limit (the same error :func:`solve_partition` raises).
         """
         mode = self.recompute if recompute is None else recompute
         geometry = self._window_geometry(ordered)
-        times_unique, activation_unique = self.cost_model.window_costs_arrays(
-            geometry.unique[:, 0],
-            geometry.unique[:, 1],
-            geometry.unique[:, 2],
-            mode,
+        sizes, enc, dec = geometry.unique
+        singles = slice(geometry.num_singletons)
+        times_single, activation_single = self.cost_model.window_costs_arrays(
+            sizes[singles], enc[singles], dec[singles], mode
         )
-        feasible_unique = activation_unique <= self.per_microbatch_memory_bytes
-        times = np.full((geometry.num_samples, geometry.max_window), np.inf)
-        feasible = np.zeros((geometry.num_samples, geometry.max_window), dtype=bool)
-        times[geometry.start_index, geometry.size_index] = times_unique[geometry.inverse]
-        feasible[geometry.start_index, geometry.size_index] = feasible_unique[
-            geometry.inverse
+        fits_alone = (activation_single <= self.per_microbatch_memory_bytes)[
+            geometry.rows[:, 0]
         ]
+        if not fits_alone.all():
+            raise singleton_infeasible_error(int(np.argmin(fits_alone)))
+        rest = slice(geometry.num_singletons, None)
+        times_rest, activation_rest = self.cost_model.window_costs_arrays(
+            sizes[rest], enc[rest], dec[rest], mode
+        )
+        # One trailing entry for the past-the-end windows: never feasible.
+        times = np.concatenate([times_single, times_rest, [np.inf]])[geometry.rows]
+        activation = np.concatenate([activation_single, activation_rest, [np.nan]])
+        feasible = (activation <= self.per_microbatch_memory_bytes)[geometry.rows]
         return WindowCostTable(
             times=times,
             feasible=feasible,
-            unique_shape_evaluations=len(geometry.unique),
+            unique_shape_evaluations=geometry.unique.shape[1],
         )
 
     # ------------------------------------------------------------------ strategy API

@@ -25,11 +25,11 @@ shape) is the planning-time bottleneck.  :meth:`CostModel.stage_costs_many`
 and :meth:`CostModel.microbatch_times_ms` /
 :meth:`CostModel.microbatch_activation_bytes_many` answer the same questions
 for a whole batch of shapes in a handful of numpy passes (via
-:meth:`~repro.costmodel.interpolation.GridInterpolator.query_many`),
-bit-identical to the scalar path.  All results are memoised in per-instance
-shape-keyed caches, so recomputation-mode retries, the injection-order
-search, and repeated schedule builds never re-query the interpolators for a
-shape they have already seen.
+:meth:`~repro.costmodel.profiler.LayerProfile.query_many`, one interpolation
+pass per layer profile), bit-identical to the scalar path.  All results are
+memoised in per-instance shape-keyed caches, so recomputation-mode retries,
+the injection-order search, and repeated schedule builds never re-query the
+interpolators for a shape they have already seen.
 """
 
 from __future__ import annotations
@@ -50,10 +50,13 @@ from repro.model.transformer import (
     assign_layers,
 )
 
-#: Soft cap on the per-instance shape caches; a long-lived planner sees a
-#: bounded set of padded shapes in practice, so this only guards pathological
-#: workloads from unbounded memory growth.
-_CACHE_LIMIT = 1 << 20
+#: Soft cap on the per-instance shape caches, which are cleared when full.
+#: Tens of new padded shapes arrive per iteration, so an uncapped cache grows
+#: with the run's length; at this size a training run's caches stop growing
+#: after a few hundred iterations, while the shapes reused within an
+#: iteration (mode retries, order search, repeated schedule builds) and the
+#: common ones that recur across iterations still hit.
+_CACHE_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -237,34 +240,26 @@ class CostModel:
         batch = np.asarray(batch, dtype=float)
         enc = np.asarray(enc, dtype=float)
         dec = np.asarray(dec, dtype=float)
-        enc_profile = self.database.get("encoder")
         coords2 = np.stack([batch, enc], axis=1)
         enc_mask = enc > 0
+        enc_fwd, enc_bwd, enc_act = self.database.get("encoder").query_many(recompute, coords2)
         tables: dict[str, np.ndarray | None] = {
-            "enc_fwd": np.where(enc_mask, enc_profile.query_forward_many(coords2), 0.0),
-            "enc_bwd": np.where(
-                enc_mask, enc_profile.query_backward_many(recompute, coords2), 0.0
-            ),
-            "enc_act": np.where(
-                enc_mask, enc_profile.query_activation_many(recompute, coords2), 0.0
-            ),
+            "enc_fwd": np.where(enc_mask, enc_fwd, 0.0),
+            "enc_bwd": np.where(enc_mask, enc_bwd, 0.0),
+            "enc_act": np.where(enc_mask, enc_act, 0.0),
             "dec_fwd": None,
             "dec_bwd": None,
             "dec_act": None,
         }
         if self.config.is_encoder_decoder:
-            dec_profile = self.database.get("decoder")
             coords3 = np.stack([batch, dec, enc], axis=1)
             dec_mask = dec > 0
-            tables["dec_fwd"] = np.where(
-                dec_mask, dec_profile.query_forward_many(coords3), 0.0
+            dec_fwd, dec_bwd, dec_act = self.database.get("decoder").query_many(
+                recompute, coords3
             )
-            tables["dec_bwd"] = np.where(
-                dec_mask, dec_profile.query_backward_many(recompute, coords3), 0.0
-            )
-            tables["dec_act"] = np.where(
-                dec_mask, dec_profile.query_activation_many(recompute, coords3), 0.0
-            )
+            tables["dec_fwd"] = np.where(dec_mask, dec_fwd, 0.0)
+            tables["dec_bwd"] = np.where(dec_mask, dec_bwd, 0.0)
+            tables["dec_act"] = np.where(dec_mask, dec_act, 0.0)
         return tables
 
     def _assignment_costs(

@@ -12,10 +12,13 @@ failing; extrapolation quality is part of what the cost-model accuracy
 experiment measures.
 
 Two query paths are provided: the scalar ``__call__`` (the reference
-implementation) and the batched :meth:`GridInterpolator.query_many`, which
-evaluates thousands of points in a handful of numpy operations and is the
-entry point of the planner's vectorized cost-model fast path.  Both paths
-produce bit-identical results.
+implementation) and the batched :func:`query_grids`, which evaluates
+thousands of points on several grids sharing one set of axes in a handful of
+numpy operations and is the entry point of the planner's vectorized
+cost-model fast path.  It brackets the points and forms the corner weights
+once, then gathers every grid with the same corners in the same order, so
+each grid's result is bit-identical to its scalar ``__call__``;
+:meth:`GridInterpolator.query_many` is its one-grid case.
 """
 
 from __future__ import annotations
@@ -94,19 +97,6 @@ class GridInterpolator:
                 total += weight * float(self.values[tuple(index)])
         return total
 
-    def _bracket_many(self, dim: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_bracket`: arrays of (low, high, fraction)."""
-        axis = self.axes[dim]
-        if len(axis) == 1:
-            zeros = np.zeros(len(x), dtype=np.intp)
-            return zeros, zeros, np.zeros(len(x))
-        idx = np.searchsorted(axis, x, side="left")
-        np.clip(idx, 1, len(axis) - 1, out=idx)
-        lo = idx - 1
-        span = axis[idx] - axis[lo]
-        frac = (x - axis[lo]) / span
-        return lo, idx, frac
-
     def query_many(self, coords: np.ndarray) -> np.ndarray:
         """Interpolated values for a batch of points in one numpy pass.
 
@@ -118,29 +108,70 @@ class GridInterpolator:
             Array of ``num_points`` interpolated values, bit-identical to
             calling the scalar ``__call__`` on each row.
         """
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2 or coords.shape[1] != len(self.axes):
-            raise ValueError(
-                f"expected coords of shape (n, {len(self.axes)}), got {coords.shape}"
-            )
-        brackets = [
-            self._bracket_many(dim, coords[:, dim]) for dim in range(len(self.axes))
-        ]
-        total = np.zeros(coords.shape[0])
-        corners = 1 << len(self.axes)
-        for corner in range(corners):
-            weight = np.ones(coords.shape[0])
-            index = []
-            for dim, (lo, hi, frac) in enumerate(brackets):
-                if corner >> dim & 1:
-                    weight = weight * frac
-                    index.append(hi)
-                else:
-                    weight = weight * (1.0 - frac)
-                    index.append(lo)
-            total += weight * self.values[tuple(index)]
-        return total
+        return query_grids([self], coords)[0]
 
     def max_value(self) -> float:
         """Maximum profiled value (useful for sanity checks)."""
         return float(self.values.max())
+
+
+def _bracket_many(axis: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :meth:`GridInterpolator._bracket`: arrays of (low, high, fraction)."""
+    if len(axis) == 1:
+        zeros = np.zeros(len(x), dtype=np.intp)
+        return zeros, zeros, np.zeros(len(x))
+    idx = np.searchsorted(axis, x, side="left")
+    np.clip(idx, 1, len(axis) - 1, out=idx)
+    lo = idx - 1
+    span = axis[idx] - axis[lo]
+    frac = (x - axis[lo]) / span
+    return lo, idx, frac
+
+
+def query_grids(grids: Sequence[GridInterpolator], coords: np.ndarray) -> list[np.ndarray]:
+    """Interpolate every grid of ``grids`` at a batch of points.
+
+    The grids must share their axes.  Brackets are computed once, and each
+    corner's weight and flat index once for all grids; every grid sums its
+    gathered corner values in the scalar ``__call__``'s corner order with
+    the same weight products, so every result is bit-identical to the
+    scalar path.
+
+    Args:
+        grids: Interpolators over identical axes.
+        coords: Array of shape ``(num_points, num_dims)``.
+
+    Returns:
+        One array of ``num_points`` values per grid, in ``grids`` order.
+
+    Raises:
+        ValueError: If the grids' axes differ or ``coords`` has the wrong
+            shape.
+    """
+    axes = grids[0].axes
+    for grid in grids[1:]:
+        if len(grid.axes) != len(axes) or not all(
+            np.array_equal(a, b) for a, b in zip(grid.axes, axes)
+        ):
+            raise ValueError("grids queried together must share their axes")
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != len(axes):
+        raise ValueError(f"expected coords of shape (n, {len(axes)}), got {coords.shape}")
+    brackets = [_bracket_many(axis, coords[:, dim]) for dim, axis in enumerate(axes)]
+    sides = [((lo, 1.0 - frac), (hi, frac)) for lo, hi, frac in brackets]
+    shape = grids[0].values.shape
+    flat_values = [grid.values.ravel() for grid in grids]
+    results = [np.zeros(coords.shape[0]) for _ in grids]
+    for corner in range(1 << len(axes)):
+        # Corner bit ``dim`` selects the high side of dimension ``dim``;
+        # weights multiply in dimension order, as in ``__call__``.
+        weight = None
+        index = []
+        for dim, (low, high) in enumerate(sides):
+            side_index, side_weight = high if corner >> dim & 1 else low
+            weight = side_weight if weight is None else weight * side_weight
+            index.append(side_index)
+        flat = np.ravel_multi_index(index, shape)
+        for total, values in zip(results, flat_values):
+            total += weight * values[flat]
+    return results

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.device import A100_40GB, DeviceSpec, SimulatedGPU
-from repro.costmodel.interpolation import GridInterpolator
+from repro.costmodel.interpolation import GridInterpolator, query_grids
 from repro.model.config import ModelConfig
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import LayerAssignment, MicroBatchShape, StageModel
@@ -84,22 +84,22 @@ class LayerProfile:
         """Interpolated activation bytes under ``mode``."""
         return max(self.activation_bytes[mode](*coords), 0.0)
 
-    # -------------------------------------------------------------- batched
-    # Vectorized counterparts used by the planner fast path: one numpy pass
-    # over ``coords`` of shape (num_points, dims), bit-identical to the
-    # scalar queries above.
+    def query_many(
+        self, mode: RecomputeMode, coords: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched (forward, backward, activation) over ``(num_points, dims)`` coords.
 
-    def query_forward_many(self, coords: np.ndarray) -> np.ndarray:
-        """Batched :meth:`query_forward` over ``(num_points, dims)`` coords."""
-        return np.maximum(self.forward_ms.query_many(coords), 0.0)
-
-    def query_backward_many(self, mode: RecomputeMode, coords: np.ndarray) -> np.ndarray:
-        """Batched :meth:`query_backward` over ``(num_points, dims)`` coords."""
-        return np.maximum(self.backward_ms[mode].query_many(coords), 0.0)
-
-    def query_activation_many(self, mode: RecomputeMode, coords: np.ndarray) -> np.ndarray:
-        """Batched :meth:`query_activation` over ``(num_points, dims)`` coords."""
-        return np.maximum(self.activation_bytes[mode].query_many(coords), 0.0)
+        One interpolation pass shared by the three grids, bit-identical to
+        the scalar queries above; the planner's vectorized fast path.
+        """
+        forward, backward, activation = query_grids(
+            [self.forward_ms, self.backward_ms[mode], self.activation_bytes[mode]], coords
+        )
+        return (
+            np.maximum(forward, 0.0),
+            np.maximum(backward, 0.0),
+            np.maximum(activation, 0.0),
+        )
 
 
 @dataclass

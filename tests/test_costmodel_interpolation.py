@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel.interpolation import GridInterpolator
+from repro.costmodel.interpolation import GridInterpolator, query_grids
 
 
 class TestConstruction:
@@ -165,3 +165,45 @@ class TestQueryMany:
     def test_empty_batch(self):
         interp = GridInterpolator([[0, 1]], np.array([0.0, 1.0]))
         assert interp.query_many(np.zeros((0, 1))).shape == (0,)
+
+
+class TestQueryGrids:
+    """Grids sharing axes are queried in one pass, each bit-identical to its
+    own scalar ``__call__``."""
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_grid_matches_its_scalar_call(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        first, axes = _random_grid(rng, dims)
+        shape = first.values.shape
+        grids = [first] + [
+            GridInterpolator(axes, rng.uniform(-50.0, 500.0, size=shape)) for _ in range(2)
+        ]
+        points = _random_points(rng, axes, 96)  # half extrapolate past the grid
+        results = query_grids(grids, points)
+        assert len(results) == len(grids)
+        for grid, result in zip(grids, results):
+            assert np.array_equal(result, np.array([grid(*row) for row in points]))
+            assert np.array_equal(result, grid.query_many(points))
+
+    def test_empty_batch(self):
+        rng = np.random.default_rng(4)
+        grid, axes = _random_grid(rng, 3)
+        other = GridInterpolator(axes, grid.values * 2.0)
+        results = query_grids([grid, other], np.zeros((0, 3)))
+        assert [r.shape for r in results] == [(0,), (0,)]
+
+    def test_mismatched_axes_rejected(self):
+        base = GridInterpolator([[0, 1], [0, 1]], np.zeros((2, 2)))
+        shifted = GridInterpolator([[0, 2], [0, 1]], np.zeros((2, 2)))
+        longer = GridInterpolator([[0, 1, 2], [0, 1]], np.zeros((3, 2)))
+        deeper = GridInterpolator([[0, 1], [0, 1], [0, 1]], np.zeros((2, 2, 2)))
+        for other in (shifted, longer, deeper):
+            with pytest.raises(ValueError):
+                query_grids([base, other], np.zeros((4, 2)))
+
+    def test_wrong_coordinate_shape_rejected(self):
+        grid = GridInterpolator([[0, 1], [0, 1]], np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            query_grids([grid, grid], np.zeros((4, 3)))

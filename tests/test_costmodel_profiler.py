@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.costmodel.profiler import LayerProfiler, default_profile_grid
@@ -99,3 +100,25 @@ class TestBuildDatabase:
         database = profiler.build_database(max_batch_size=2, max_seq_len=128)
         assert database.model_name == tiny_gpt_config.name
         assert database.device_name == small_device.name
+
+
+class TestBatchedQuery:
+    """``LayerProfile.query_many`` equals the three scalar queries exactly."""
+
+    @pytest.mark.parametrize("kind", ["encoder", "decoder"])
+    def test_matches_scalar_queries(self, tiny_t5_config, small_device, kind):
+        database = LayerProfiler(tiny_t5_config, device_spec=small_device).build_database(
+            max_batch_size=16, max_seq_len=512
+        )
+        profile = database.get(kind)
+        rng = np.random.default_rng(0)
+        # Inside the grid, on it, and extrapolated beyond either end.
+        coords = rng.uniform(0.5, 1024.0, size=(40, profile.dims))
+        coords[:5] = np.round(coords[:5])
+        for mode in RecomputeMode:
+            forward, backward, activation = profile.query_many(mode, coords)
+            assert np.array_equal(forward, [profile.query_forward(*c) for c in coords])
+            assert np.array_equal(backward, [profile.query_backward(mode, *c) for c in coords])
+            assert np.array_equal(
+                activation, [profile.query_activation(mode, *c) for c in coords]
+            )
