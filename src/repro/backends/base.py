@@ -143,7 +143,9 @@ class BackendOptions:
         transfer_time_fn: Maps (nbytes, src, dst) to transfer ms (virtual
             backends only; real backends move actual payloads instead).
         activation_bytes_fn: Maps compute instructions to the activation
-            bytes they allocate/free on their stage.
+            bytes they allocate/free on their stage.  Backends may call it
+            at any time and any number of times, so it must be a pure
+            function of the instruction.
         static_bytes: Per-device static memory for the trackers.
         device_capacity: Optional per-device capacity for the trackers.
     """

@@ -178,7 +178,7 @@ def _worker_main(device: int, cfg: dict[str, Any]) -> None:
 
 
 def _run_device(device: int, cfg: dict[str, Any], report: mp.Queue) -> None:
-    instructions = instructions_from_dicts(cfg["stream"])
+    instructions = instructions_from_dicts(cfg["stream"], device)
     durations: list[float | None] = cfg["durations"]
     act_bytes: list[float | None] = cfg["act_bytes"]
     in_queues: dict[int, mp.Queue] = cfg["in_queues"]

@@ -7,6 +7,14 @@ semantics of its own: the executor already implements the full channel
 model, so the adapter only derives the conformance report fields (event
 order, per-channel matching order) from the executor's output.
 
+:meth:`SimBackend.run` is the simulated execution hot path: the executor
+lowers the streams into an integer-coded program once and sweeps it, and
+the trace is built only if someone reads it.  The ``BackendOptions`` a
+training run passes in come from
+:meth:`repro.simulator.ground_truth.GroundTruth.backend_options`, whose
+callbacks look up costs computed once per replica plan, so a backend is
+built per replica plan and used for that plan.
+
 Because the simulator executes each device's stream strictly in order, the
 reported ``device_event_order`` of a completed run is the stream itself —
 which is exactly the point: any backend that *really* runs the streams

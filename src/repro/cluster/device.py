@@ -68,6 +68,22 @@ class DeviceSpec:
         """Sustained bytes/s after the efficiency derating."""
         return self.memory_bandwidth * self.bandwidth_efficiency
 
+    def kernel_time_ms(self, flops: float, bytes_moved: float, kernels: int = 1) -> float:
+        """Noise-free execution time of a fused group of kernels in milliseconds.
+
+        Args:
+            flops: Total floating point operations.
+            bytes_moved: Total bytes read + written from HBM.
+            kernels: Number of distinct kernel launches (adds fixed overhead).
+        """
+        check_non_negative("flops", flops)
+        check_non_negative("bytes_moved", bytes_moved)
+        if kernels < 1:
+            raise ValueError(f"kernels must be >= 1, got {kernels}")
+        compute_s = flops / self.achievable_flops
+        memory_s = bytes_moved / self.achievable_bandwidth
+        return max(compute_s, memory_s) * 1e3 + kernels * self.kernel_overhead_ms
+
     def with_memory_capacity(self, memory_capacity: float) -> "DeviceSpec":
         """Return a copy with a different memory capacity (e.g. to model
         memory reserved by the framework)."""
@@ -109,24 +125,15 @@ class SimulatedGPU:
         self._rng: Optional[np.random.Generator] = new_rng(seed) if noise_std > 0 else None
 
     def kernel_time_ms(self, flops: float, bytes_moved: float, kernels: int = 1) -> float:
-        """Execution time of a fused group of kernels in milliseconds.
+        """Execution time of a fused group of kernels in milliseconds: the
+        spec's :meth:`DeviceSpec.kernel_time_ms` with this device's noise."""
+        return self.apply_noise(self.spec.kernel_time_ms(flops, bytes_moved, kernels))
 
-        Args:
-            flops: Total floating point operations.
-            bytes_moved: Total bytes read + written from HBM.
-            kernels: Number of distinct kernel launches (adds fixed overhead).
+    def apply_noise(self, time_ms: float) -> float:
+        """Multiply by (1 + N(0, noise_std)) clipped so time stays positive.
+
+        Draws one normal variate per call when the device is noisy.
         """
-        check_non_negative("flops", flops)
-        check_non_negative("bytes_moved", bytes_moved)
-        if kernels < 1:
-            raise ValueError(f"kernels must be >= 1, got {kernels}")
-        compute_s = flops / self.spec.achievable_flops
-        memory_s = bytes_moved / self.spec.achievable_bandwidth
-        time_ms = max(compute_s, memory_s) * 1e3 + kernels * self.spec.kernel_overhead_ms
-        return self._apply_noise(time_ms)
-
-    def _apply_noise(self, time_ms: float) -> float:
-        """Multiply by (1 + N(0, noise_std)) clipped so time stays positive."""
         if self._rng is None or self.noise_std == 0.0:
             return time_ms
         factor = 1.0 + float(self._rng.normal(0.0, self.noise_std))

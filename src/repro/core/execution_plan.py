@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.instructions.ops import PipelineInstruction
-from repro.instructions.serialization import instructions_from_dicts, instructions_to_dicts
+from repro.instructions.serialization import (
+    instructions_from_dicts,
+    instructions_to_dicts,
+    shape_from_dict,
+)
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
 
@@ -98,29 +102,40 @@ class ExecutionPlan:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ExecutionPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        metadata = PlanMetadata(
-            iteration=int(payload["metadata"]["iteration"]),
-            replica=int(payload["metadata"]["replica"]),
-            schedule_name=str(payload["metadata"]["schedule_name"]),
-            recompute=RecomputeMode(payload["metadata"]["recompute"]),
-            predicted_makespan_ms=float(payload["metadata"]["predicted_makespan_ms"]),
-            predicted_peak_memory_bytes=[
-                float(x) for x in payload["metadata"]["predicted_peak_memory_bytes"]
-            ],
-            num_microbatches=int(payload["metadata"]["num_microbatches"]),
-            planning_time_s=float(payload["metadata"]["planning_time_s"]),
-        )
-        shapes = [
-            MicroBatchShape(
-                batch_size=int(s["batch_size"]),
-                enc_seq_len=int(s["enc_seq_len"]),
-                dec_seq_len=int(s["dec_seq_len"]),
+        """Rebuild a plan from :meth:`to_dict` output.
+
+        Equal micro-batch shapes decode to one shared
+        :class:`~repro.model.transformer.MicroBatchShape` per plan.
+
+        Raises:
+            ValueError: If the payload is malformed; the message names the
+                missing or invalid field (and, inside an instruction stream,
+                the device and stream position).
+        """
+        interned: dict[tuple, MicroBatchShape] = {}
+        try:
+            meta = payload["metadata"]
+            metadata = PlanMetadata(
+                iteration=int(meta["iteration"]),
+                replica=int(meta["replica"]),
+                schedule_name=str(meta["schedule_name"]),
+                recompute=RecomputeMode(meta["recompute"]),
+                predicted_makespan_ms=float(meta["predicted_makespan_ms"]),
+                predicted_peak_memory_bytes=[
+                    float(x) for x in meta["predicted_peak_memory_bytes"]
+                ],
+                num_microbatches=int(meta["num_microbatches"]),
+                planning_time_s=float(meta["planning_time_s"]),
             )
-            for s in payload["microbatch_shapes"]
-        ]
+            shapes = [shape_from_dict(raw, interned) for raw in payload["microbatch_shapes"]]
+            raw_streams = payload["device_instructions"]
+        except KeyError as err:
+            raise ValueError(f"malformed plan payload: missing field {err.args[0]!r}") from err
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"malformed plan payload: {err}") from err
         streams = [
-            instructions_from_dicts(stream) for stream in payload["device_instructions"]
+            instructions_from_dicts(stream, device, shapes=interned)
+            for device, stream in enumerate(raw_streams)
         ]
         return cls(device_instructions=streams, microbatch_shapes=shapes, metadata=metadata)
 

@@ -76,11 +76,11 @@ class ForwardPass(PipelineInstruction):
         recompute: Activation checkpointing mode used for this micro-batch.
     """
 
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.FORWARD)
     shape: MicroBatchShape = None  # type: ignore[assignment]
     recompute: RecomputeMode = RecomputeMode.NONE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", InstructionKind.FORWARD)
         if self.shape is None:
             raise ValueError("ForwardPass requires a micro-batch shape")
 
@@ -89,11 +89,11 @@ class ForwardPass(PipelineInstruction):
 class BackwardPass(PipelineInstruction):
     """Run the backward computation of a micro-batch on this stage."""
 
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.BACKWARD)
     shape: MicroBatchShape = None  # type: ignore[assignment]
     recompute: RecomputeMode = RecomputeMode.NONE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", InstructionKind.BACKWARD)
         if self.shape is None:
             raise ValueError("BackwardPass requires a micro-batch shape")
 
@@ -142,9 +142,7 @@ class _CommWait(PipelineInstruction):
 class SendActStart(_CommStart):
     """Launch the send of a micro-batch's output activation to ``peer``."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "kind", InstructionKind.SEND_ACT_START)
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.SEND_ACT_START)
 
     @property
     def direction(self) -> CommDirection:
@@ -159,9 +157,7 @@ class SendActStart(_CommStart):
 class RecvActStart(_CommStart):
     """Launch the receive of a micro-batch's input activation from ``peer``."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "kind", InstructionKind.RECV_ACT_START)
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.RECV_ACT_START)
 
     @property
     def direction(self) -> CommDirection:
@@ -176,9 +172,7 @@ class RecvActStart(_CommStart):
 class SendGradStart(_CommStart):
     """Launch the send of a micro-batch's input gradient to ``peer``."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "kind", InstructionKind.SEND_GRAD_START)
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.SEND_GRAD_START)
 
     @property
     def direction(self) -> CommDirection:
@@ -193,9 +187,7 @@ class SendGradStart(_CommStart):
 class RecvGradStart(_CommStart):
     """Launch the receive of a micro-batch's output gradient from ``peer``."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "kind", InstructionKind.RECV_GRAD_START)
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.RECV_GRAD_START)
 
     @property
     def direction(self) -> CommDirection:
@@ -210,36 +202,28 @@ class RecvGradStart(_CommStart):
 class WaitSendAct(_CommWait):
     """Wait for a previously launched activation send to complete."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "kind", InstructionKind.WAIT_SEND_ACT)
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.WAIT_SEND_ACT)
 
 
 @dataclass(frozen=True)
 class WaitRecvAct(_CommWait):
     """Wait for a previously launched activation receive to complete."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "kind", InstructionKind.WAIT_RECV_ACT)
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.WAIT_RECV_ACT)
 
 
 @dataclass(frozen=True)
 class WaitSendGrad(_CommWait):
     """Wait for a previously launched gradient send to complete."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "kind", InstructionKind.WAIT_SEND_GRAD)
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.WAIT_SEND_GRAD)
 
 
 @dataclass(frozen=True)
 class WaitRecvGrad(_CommWait):
     """Wait for a previously launched gradient receive to complete."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "kind", InstructionKind.WAIT_RECV_GRAD)
+    kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.WAIT_RECV_GRAD)
 
 
 #: Mapping from instruction kind to class, used by deserialisation.

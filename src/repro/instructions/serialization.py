@@ -15,7 +15,6 @@ from repro.instructions.ops import (
     INSTRUCTION_CLASSES,
     BackwardPass,
     ForwardPass,
-    InstructionKind,
     PipelineInstruction,
     _CommStart,
     _CommWait,
@@ -46,22 +45,61 @@ def instruction_to_dict(instruction: PipelineInstruction) -> dict[str, Any]:
     return payload
 
 
+#: Wire ``kind`` -> (instruction class, payload layout).
+_COMPUTE, _START, _WAIT = range(3)
+_DECODERS: dict[str, tuple[type[PipelineInstruction], int]] = {
+    kind.value: (
+        cls,
+        _COMPUTE
+        if cls in (ForwardPass, BackwardPass)
+        else _START if issubclass(cls, _CommStart) else _WAIT,
+    )
+    for kind, cls in INSTRUCTION_CLASSES.items()
+}
+_RECOMPUTE_MODES = {mode.value: mode for mode in RecomputeMode}
+
+
+def shape_from_dict(
+    payload: dict[str, Any], shapes: dict[tuple, MicroBatchShape]
+) -> MicroBatchShape:
+    """The shape a ``{batch_size, enc_seq_len, dec_seq_len}`` dictionary
+    describes; ``shapes`` interns equal shapes into one object."""
+    key = (payload["batch_size"], payload["enc_seq_len"], payload["dec_seq_len"])
+    shape = shapes.get(key)
+    if shape is None:
+        shape = shapes[key] = MicroBatchShape(int(key[0]), int(key[1]), int(key[2]))
+    return shape
+
+
+def _decode(
+    payload: dict[str, Any], shapes: dict[tuple, MicroBatchShape]
+) -> PipelineInstruction:
+    """One instruction from its dictionary; ``shapes`` interns equal shapes."""
+    kind = payload["kind"]
+    decoder = _DECODERS.get(kind)
+    if decoder is None:
+        raise ValueError(f"unknown instruction kind {kind!r}")
+    cls, layout = decoder
+    microbatch, stage = int(payload["microbatch"]), int(payload["stage"])
+    if layout == _COMPUTE:
+        shape = shape_from_dict(payload["shape"], shapes)
+        value = payload.get("recompute", "none")
+        recompute = _RECOMPUTE_MODES.get(value) or RecomputeMode(value)
+        return cls(microbatch, stage, shape, recompute)  # type: ignore[call-arg]
+    if layout == _START:
+        return cls(microbatch, stage, int(payload["peer"]), float(payload["nbytes"]))  # type: ignore[call-arg]
+    return cls(microbatch, stage, int(payload["peer"]))  # type: ignore[call-arg]
+
+
 def instruction_from_dict(payload: dict[str, Any]) -> PipelineInstruction:
-    """Rebuild an instruction from :func:`instruction_to_dict` output."""
-    kind = InstructionKind(payload["kind"])
-    cls = INSTRUCTION_CLASSES[kind]
-    common = {"microbatch": int(payload["microbatch"]), "stage": int(payload["stage"])}
-    if kind in (InstructionKind.FORWARD, InstructionKind.BACKWARD):
-        shape = MicroBatchShape(
-            batch_size=int(payload["shape"]["batch_size"]),
-            enc_seq_len=int(payload["shape"]["enc_seq_len"]),
-            dec_seq_len=int(payload["shape"]["dec_seq_len"]),
-        )
-        recompute = RecomputeMode(payload.get("recompute", RecomputeMode.NONE.value))
-        return cls(shape=shape, recompute=recompute, **common)  # type: ignore[call-arg]
-    if issubclass(cls, _CommStart):
-        return cls(peer=int(payload["peer"]), nbytes=float(payload["nbytes"]), **common)  # type: ignore[call-arg]
-    return cls(peer=int(payload["peer"]), **common)  # type: ignore[call-arg]
+    """Rebuild an instruction from :func:`instruction_to_dict` output.
+
+    Raises:
+        ValueError: If the payload is malformed (unknown kind, missing or
+            invalid field); the message names the device (the payload's
+            stage), the stream position and the field.
+    """
+    return instructions_from_dicts([payload])[0]
 
 
 def instruction_signature(instruction: PipelineInstruction) -> tuple[str, int, int, int]:
@@ -86,6 +124,36 @@ def instructions_to_dicts(instructions: Iterable[PipelineInstruction]) -> list[d
     return [instruction_to_dict(instruction) for instruction in instructions]
 
 
-def instructions_from_dicts(payloads: Sequence[dict[str, Any]]) -> list[PipelineInstruction]:
-    """Deserialise a sequence of instructions."""
-    return [instruction_from_dict(payload) for payload in payloads]
+def instructions_from_dicts(
+    payloads: Sequence[dict[str, Any]],
+    device: int | None = None,
+    shapes: dict[tuple, MicroBatchShape] | None = None,
+) -> list[PipelineInstruction]:
+    """Deserialise one device's instruction stream.
+
+    Equal micro-batch shapes decode to one shared
+    :class:`~repro.model.transformer.MicroBatchShape`; pass the same
+    ``shapes`` dictionary for every stream of a plan to share them across
+    devices.
+
+    Raises:
+        ValueError: If a payload is malformed; the message names the device
+            (``device``, else the payload's stage), the payload's position
+            in the stream and the field.
+    """
+    if shapes is None:
+        shapes = {}
+    decoded = []
+    try:
+        for payload in payloads:
+            decoded.append(_decode(payload, shapes))
+    except (KeyError, TypeError, ValueError) as err:
+        payload = payloads[len(decoded)]
+        if device is None:
+            device = payload.get("stage", "?") if isinstance(payload, dict) else "?"
+        problem = f"missing field {err.args[0]!r}" if isinstance(err, KeyError) else str(err)
+        raise ValueError(
+            f"malformed instruction payload on device {device} at stream position "
+            f"{len(decoded)}: {problem}"
+        ) from err
+    return decoded

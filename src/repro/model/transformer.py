@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.cluster.device import SimulatedGPU
+from repro.cluster.device import DeviceSpec, SimulatedGPU
 from repro.cluster.network import NetworkModel
 from repro.model.config import ModelConfig
 from repro.model.flops import (
@@ -145,6 +145,20 @@ class StageModel:
         self.tensor_parallel = tensor_parallel
         self.zero_shards = zero_shards
 
+    @property
+    def cost_signature(self) -> tuple:
+        """What this stage's compute times and activation memory depend on.
+
+        Stages with equal signatures (e.g. every stage of an evenly split
+        GPT) cost the same for every micro-batch shape.
+        """
+        return (
+            self.config,
+            self.tensor_parallel,
+            self.assignment.encoder_layers,
+            self.assignment.decoder_layers,
+        )
+
     # ------------------------------------------------------------------ FLOPs
 
     def forward_flops(self, shape: MicroBatchShape) -> LayerFlops:
@@ -173,9 +187,8 @@ class StageModel:
 
     def forward_time_ms(self, gpu: SimulatedGPU, shape: MicroBatchShape) -> float:
         """Forward-pass time of this stage for one micro-batch."""
-        cost = self.forward_flops(shape)
-        time = gpu.kernel_time_ms(cost.flops, cost.bytes_moved, max(cost.kernels, 1))
-        return time + self._tensor_parallel_comm_ms(shape)
+        kernel_ms = self.pass_kernel_ms(gpu.spec, self.forward_flops(shape))
+        return gpu.apply_noise(kernel_ms) + self.tensor_parallel_comm_ms(shape)
 
     def backward_time_ms(
         self,
@@ -184,12 +197,25 @@ class StageModel:
         recompute: RecomputeMode = RecomputeMode.NONE,
     ) -> float:
         """Backward-pass time; recomputation re-runs (part of) the forward."""
-        cost = self.forward_flops(shape)
-        scaled = cost.scaled(recompute.backward_flop_factor)
-        time = gpu.kernel_time_ms(scaled.flops, scaled.bytes_moved, max(cost.kernels, 1))
-        return time + self._tensor_parallel_comm_ms(shape)
+        kernel_ms = self.pass_kernel_ms(gpu.spec, self.forward_flops(shape), recompute)
+        return gpu.apply_noise(kernel_ms) + self.tensor_parallel_comm_ms(shape)
 
-    def _tensor_parallel_comm_ms(self, shape: MicroBatchShape) -> float:
+    @staticmethod
+    def pass_kernel_ms(
+        spec: DeviceSpec, forward_cost: LayerFlops, recompute: RecomputeMode | None = None
+    ) -> float:
+        """Noise-free kernel time of one pass given the stage's forward cost.
+
+        ``recompute=None`` times the forward pass; a mode times the backward
+        pass under that mode (the forward cost scaled by its FLOP factor,
+        with the forward's kernel count).
+        """
+        kernels = max(forward_cost.kernels, 1)
+        if recompute is not None:
+            forward_cost = forward_cost.scaled(recompute.backward_flop_factor)
+        return spec.kernel_time_ms(forward_cost.flops, forward_cost.bytes_moved, kernels)
+
+    def tensor_parallel_comm_ms(self, shape: MicroBatchShape) -> float:
         """Per-micro-batch tensor-parallel all-reduce cost on this stage.
 
         Each Transformer layer performs two all-reduces of the layer

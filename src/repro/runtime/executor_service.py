@@ -3,8 +3,10 @@
 The executor service owns the simulated devices of one data-parallel replica
 group.  For every iteration it fetches each replica's execution plan from
 the instruction store — blocking (and recording the stall time) if planning
-has not finished yet — deserialises it, and runs it on the
-instruction-level executor with execution-time noise.
+has not finished yet — deserialises it, and runs it on the ``sim``
+execution backend against the same ground truth as
+:class:`~repro.training.trainer.TrainingSession` (analytic stage models,
+execution-time noise).
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.backends import get_backend
 from repro.cluster.device import SimulatedGPU
 from repro.cluster.network import NetworkModel
 from repro.core.execution_plan import ExecutionPlan
 from repro.costmodel.cost_model import CostModel
-from repro.instructions.ops import BackwardPass, ForwardPass, PipelineInstruction
 from repro.instructions.store import InstructionStore, PlanNotReadyError
-from repro.model.transformer import build_stage_models
-from repro.simulator.executor import InstructionExecutor
+from repro.simulator.executor import ExecutionResult
+from repro.simulator.ground_truth import GroundTruth
 from repro.utils.rng import SeedLike, new_rng
 
 
@@ -68,16 +70,9 @@ class ExecutorService:
     stats: list[ExecutorStats] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._stage_models = build_stage_models(
-            self.cost_model.config,
-            self.cost_model.num_stages,
-            tensor_parallel=self.cost_model.tensor_parallel,
-            zero_shards=self.cost_model.zero_shards,
+        self._ground_truth = GroundTruth(
+            self.cost_model, NetworkModel(), same_node=self.stages_same_node
         )
-        self._static = [
-            self.cost_model.stage_static_bytes(j) for j in range(self.cost_model.num_stages)
-        ]
-        self._network = NetworkModel()
         self._rng = new_rng(self.seed)
 
     # ------------------------------------------------------------------ internals
@@ -93,32 +88,15 @@ class ExecutorService:
                     raise
                 time.sleep(0.002)
 
-    def _executor(self) -> InstructionExecutor:
+    def _execute(self, plan: ExecutionPlan) -> ExecutionResult:
+        """Run one replica plan on the ``sim`` backend with fresh noise."""
         gpu = SimulatedGPU(
             self.cost_model.device_spec,
             noise_std=self.noise_std,
             seed=int(self._rng.integers(0, 2**31 - 1)),
         )
-
-        def duration(instr: PipelineInstruction) -> float:
-            stage_model = self._stage_models[instr.stage]
-            if isinstance(instr, ForwardPass):
-                return stage_model.forward_time_ms(gpu, instr.shape)
-            if isinstance(instr, BackwardPass):
-                return stage_model.backward_time_ms(gpu, instr.shape, instr.recompute)
-            raise TypeError(f"not a compute instruction: {type(instr).__name__}")
-
-        def activation(instr: PipelineInstruction) -> float:
-            return self._stage_models[instr.stage].activation_bytes(instr.shape, instr.recompute)
-
-        return InstructionExecutor(
-            compute_duration_fn=duration,
-            transfer_time_fn=lambda nbytes, src, dst: self._network.p2p_time_ms(
-                nbytes, same_node=self.stages_same_node
-            ),
-            activation_bytes_fn=activation,
-            static_bytes=self._static,
-        )
+        options = self._ground_truth.backend_options(plan.device_instructions, gpu)
+        return get_backend("sim", options).run(plan.device_instructions)
 
     # ------------------------------------------------------------------ API
 
@@ -131,7 +109,7 @@ class ExecutorService:
         simulated_ms = 0.0
         peak = 0.0
         for plan in plans:
-            result = self._executor().run(plan.device_instructions)
+            result = self._execute(plan)
             simulated_ms = max(simulated_ms, result.makespan_ms)
             peak = max(peak, max(result.peak_memory_bytes))
         stats = ExecutorStats(

@@ -19,12 +19,24 @@ transfer can ever complete and the execution deadlocks.  The executor
 detects this and raises :class:`CommunicationDeadlockError`, which is how
 the reproduction demonstrates that naive communication ordering breaks
 dynamic pipelines while DynaPipe's planned ordering does not.
+
+:meth:`InstructionExecutor.run` first lowers every device stream into a
+flat program of integer-coded steps (one class → opcode lookup per
+instruction): each ``*Start``/``Wait*`` carries the integer id of its
+transfer, and each ``*Start`` the integer id of its channel.  The execution
+is then a round-robin sweep over the devices — each runs until it blocks on
+a ``Wait*`` whose transfer has not completed — followed by FIFO head
+matching over the channels in the order they were first posted to.  That
+order is also the order in which ``compute_duration_fn`` is called, so a
+noisy duration function draws its noise in a fixed, reproducible order.
+Trace events are kept as tuples and built into
+:class:`~repro.simulator.trace.TraceEvent` objects only when
+:attr:`ExecutionResult.trace` is read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.instructions.ops import (
@@ -102,7 +114,11 @@ def describe_blocked_detail(blocked_detail: list[dict]) -> str:
     )
 
 
-@dataclass
+#: A trace event before it is built: (device, name prefix, microbatch,
+#: start, end, category); the event's name is the prefix plus the micro-batch.
+TraceRow = tuple[int, str, int, float, float, str]
+
+
 class ExecutionResult:
     """Output of :meth:`InstructionExecutor.run`.
 
@@ -112,15 +128,41 @@ class ExecutionResult:
         device_compute_ms: Per-device total compute-stream busy time.
         peak_memory_bytes: Per-device peak (static + activation) memory.
         transfer_log: Completed transfers as (key, start, end) tuples.
-        trace: Execution trace of compute and communication events.
+        trace: Execution trace of compute and communication events; when the
+            result was built from ``trace_rows`` it is materialised on first
+            access.
     """
 
-    makespan_ms: float
-    device_finish_ms: list[float]
-    device_compute_ms: list[float]
-    peak_memory_bytes: list[float]
-    transfer_log: list[tuple[TransferKey, float, float]]
-    trace: ExecutionTrace = field(default_factory=ExecutionTrace)
+    def __init__(
+        self,
+        makespan_ms: float,
+        device_finish_ms: list[float],
+        device_compute_ms: list[float],
+        peak_memory_bytes: list[float],
+        transfer_log: list[tuple[TransferKey, float, float]],
+        trace: ExecutionTrace | None = None,
+        *,
+        trace_rows: list[TraceRow] | None = None,
+    ) -> None:
+        self.makespan_ms = makespan_ms
+        self.device_finish_ms = device_finish_ms
+        self.device_compute_ms = device_compute_ms
+        self.peak_memory_bytes = peak_memory_bytes
+        self.transfer_log = transfer_log
+        self._trace = trace
+        self._trace_rows = trace_rows
+
+    @property
+    def trace(self) -> ExecutionTrace:
+        if self._trace is None:
+            self._trace = ExecutionTrace(
+                [
+                    TraceEvent(device, f"{prefix}{microbatch}", start, end, category, microbatch)
+                    for device, prefix, microbatch, start, end, category in self._trace_rows or ()
+                ]
+            )
+            self._trace_rows = None
+        return self._trace
 
     @property
     def bubble_fraction(self) -> float:
@@ -153,24 +195,108 @@ def _transfer_key_for_wait(instr: _CommWait) -> TransferKey:
     return (instr.peer, instr.stage, instr.microbatch, direction)
 
 
-@dataclass
-class _PostedOp:
-    """A communication op posted to a channel by one device."""
+# Opcodes of a lowered program step.
+_FORWARD, _BACKWARD, _START, _WAIT = range(4)
 
-    key: TransferKey
-    is_send: bool
-    post_time: float
-    nbytes: float
+#: ISA class -> (opcode, whether this side sends, transfer direction).
+_LOWERING: dict[type, tuple[int, bool, CommDirection | None]] = {
+    ForwardPass: (_FORWARD, False, None),
+    BackwardPass: (_BACKWARD, False, None),
+    SendActStart: (_START, True, CommDirection.ACTIVATION),
+    RecvActStart: (_START, False, CommDirection.ACTIVATION),
+    SendGradStart: (_START, True, CommDirection.GRADIENT),
+    RecvGradStart: (_START, False, CommDirection.GRADIENT),
+    WaitSendAct: (_WAIT, True, CommDirection.ACTIVATION),
+    WaitRecvAct: (_WAIT, False, CommDirection.ACTIVATION),
+    WaitSendGrad: (_WAIT, True, CommDirection.GRADIENT),
+    WaitRecvGrad: (_WAIT, False, CommDirection.GRADIENT),
+}
+
+_SEND_PREFIX = {CommDirection.ACTIVATION: "send-act-", CommDirection.GRADIENT: "send-grad-"}
+
+
+class _Program:
+    """Device streams lowered to integer-coded steps.
+
+    A step is a tuple whose first item is the opcode:
+
+    * ``(_FORWARD, instr, microbatch, activation_bytes)`` and
+      ``(_BACKWARD, instr, microbatch, 0.0)``;
+    * ``(_START, transfer, channel, side, is_send, nbytes)``, where ``side``
+      picks the channel's FIFO this device posts to;
+    * ``(_WAIT, transfer)``.
+
+    ``transfers[t]`` is transfer ``t``'s :data:`TransferKey` and
+    ``channels[c]`` channel ``c``'s ``(low, high)`` device pair.
+    """
+
+    def __init__(
+        self,
+        device_instructions: Sequence[Sequence[PipelineInstruction]],
+        activation_bytes_fn: Callable[[PipelineInstruction], float] | None,
+    ) -> None:
+        transfer_ids: dict[TransferKey, int] = {}
+        channel_ids: dict[tuple[int, int], int] = {}
+        self.transfers: list[TransferKey] = []
+        self.channels: list[tuple[int, int]] = []
+        self.steps: list[list[tuple]] = []
+        for device, stream in enumerate(device_instructions):
+            steps = []
+            for position, instr in enumerate(stream):
+                entry = _LOWERING.get(type(instr))
+                if entry is None:
+                    raise TypeError(f"unknown instruction type {type(instr).__name__}")
+                code, is_send, direction = entry
+                if code == _FORWARD:
+                    nbytes = 0.0
+                    if activation_bytes_fn is not None:
+                        nbytes = activation_bytes_fn(instr)
+                    steps.append((code, instr, instr.microbatch, nbytes))
+                    continue
+                if code == _BACKWARD:
+                    steps.append((code, instr, instr.microbatch, 0.0))
+                    continue
+                stage, peer = instr.stage, instr.peer
+                key = (
+                    (stage, peer, instr.microbatch, direction)
+                    if is_send
+                    else (peer, stage, instr.microbatch, direction)
+                )
+                transfer = transfer_ids.get(key)
+                if transfer is None:
+                    transfer = transfer_ids[key] = len(self.transfers)
+                    self.transfers.append(key)
+                if code == _WAIT:
+                    steps.append((code, transfer))
+                    continue
+                pair = (stage, peer) if stage < peer else (peer, stage)
+                if device not in pair:
+                    raise ValueError(
+                        f"device {device} posts {instr.kind.value} at position {position} "
+                        f"on channel {pair}, which it is not an end of"
+                    )
+                channel = channel_ids.get(pair)
+                if channel is None:
+                    channel = channel_ids[pair] = len(self.channels)
+                    self.channels.append(pair)
+                steps.append(
+                    (code, transfer, channel, 0 if device == pair[0] else 1, is_send, instr.nbytes)
+                )
+            self.steps.append(steps)
 
 
 class InstructionExecutor:
     """Executes per-device instruction streams against simulated devices.
 
     Args:
-        compute_duration_fn: Maps Forward/Backward instructions to ms.
-        transfer_time_fn: Maps (nbytes, src, dst) to transfer ms.
-        activation_bytes_fn: Maps Forward/Backward instructions to the
-            activation bytes they allocate/free on their stage; optional.
+        compute_duration_fn: Maps Forward/Backward instructions to ms.  It is
+            called once per compute instruction, in execution order.
+        transfer_time_fn: Maps (nbytes, src, dst) to transfer ms; called once
+            per completed transfer, in completion order.
+        activation_bytes_fn: Maps a ForwardPass to the activation bytes it
+            allocates on its stage (its BackwardPass frees them); optional.
+            It must not depend on call order: it is called once per
+            ForwardPass while the streams are lowered, before the run.
         static_bytes: Per-device static memory for the trackers.
         device_capacity: Optional per-device capacity; exceeding it is
             recorded in the memory trackers (not fatal, matching how the
@@ -199,8 +325,18 @@ class InstructionExecutor:
             CommunicationDeadlockError: If the communication orders posted by
                 adjacent devices can never be matched, or every device is
                 blocked on a transfer that will never be posted.
+            ~repro.simulator.memory_tracker.MemoryAccountingError: If a stream
+                frees activations it never allocated or allocates a
+                micro-batch's activations twice.
         """
-        num_devices = len(device_instructions)
+        program = _Program(device_instructions, self.activation_bytes_fn)
+        programs = program.steps
+        transfers = program.transfers
+        num_devices = len(programs)
+        duration_fn = self.compute_duration_fn
+        transfer_time_fn = self.transfer_time_fn
+        track_memory = self.activation_bytes_fn is not None
+
         pointers = [0] * num_devices
         clocks = [0.0] * num_devices
         compute_busy = [0.0] * num_devices
@@ -211,158 +347,143 @@ class InstructionExecutor:
             )
             for d in range(num_devices)
         ]
-        trace = ExecutionTrace()
 
-        # Channel state: per unordered device pair, a FIFO of posted ops per side.
-        posted: dict[tuple[int, int], dict[int, deque[_PostedOp]]] = {}
-        channel_free: dict[tuple[int, int], float] = {}
-        completed: dict[TransferKey, tuple[float, float]] = {}
+        # Per channel, one FIFO of posted (transfer, is_send, post time,
+        # nbytes) per side; a device talking to itself has a single FIFO.
+        fifos = []
+        for low, high in program.channels:
+            fifo: deque = deque()
+            fifos.append((fifo, fifo) if low == high else (fifo, deque()))
+        channel_free = [0.0] * len(fifos)
+        posted_order: list[int] = []  # channels in the order first posted to
+        posted = [False] * len(fifos)
+        completed_at: list[float | None] = [None] * len(transfers)
         transfer_log: list[tuple[TransferKey, float, float]] = []
+        rows: list[TraceRow] = []
 
-        def pair_of(a: int, b: int) -> tuple[int, int]:
-            return (a, b) if a < b else (b, a)
-
-        def post(device: int, instr: _CommStart) -> None:
-            key = _transfer_key_for_start(instr)
-            pair = pair_of(instr.stage, instr.peer)
-            queues = posted.setdefault(pair, {pair[0]: deque(), pair[1]: deque()})
-            queues[device].append(
-                _PostedOp(key=key, is_send=instr.is_send, post_time=clocks[device], nbytes=instr.nbytes)
-            )
-
-        def try_match_channels() -> bool:
-            """Complete transfers whose heads match on both sides."""
-            progressed = False
-            for pair, queues in posted.items():
-                a, b = pair
-                while queues[a] and queues[b]:
-                    head_a, head_b = queues[a][0], queues[b][0]
-                    if head_a.key == head_b.key and head_a.is_send != head_b.is_send:
-                        start = max(
-                            head_a.post_time, head_b.post_time, channel_free.get(pair, 0.0)
-                        )
-                        nbytes = max(head_a.nbytes, head_b.nbytes)
-                        sender, receiver = head_a.key[0], head_a.key[1]
-                        end = start + max(self.transfer_time_fn(nbytes, sender, receiver), 0.0)
-                        completed[head_a.key] = (start, end)
-                        transfer_log.append((head_a.key, start, end))
-                        channel_free[pair] = end
-                        direction = "act" if head_a.key[3] is CommDirection.ACTIVATION else "grad"
-                        trace.add(
-                            TraceEvent(
-                                device=sender,
-                                name=f"send-{direction}-{head_a.key[2]}",
-                                start_ms=start,
-                                end_ms=end,
-                                category="comm",
-                                microbatch=head_a.key[2],
-                            )
-                        )
-                        queues[a].popleft()
-                        queues[b].popleft()
-                        progressed = True
-                    else:
-                        break
-            return progressed
-
-        def head_mismatch_pairs() -> list[tuple[int, int]]:
-            """Pairs whose heads are both posted but can never match."""
-            mismatched = []
-            for pair, queues in posted.items():
-                a, b = pair
-                if queues[a] and queues[b]:
-                    head_a, head_b = queues[a][0], queues[b][0]
-                    if not (head_a.key == head_b.key and head_a.is_send != head_b.is_send):
-                        mismatched.append(pair)
-            return mismatched
-
-        total_instructions = sum(len(stream) for stream in device_instructions)
+        total_instructions = sum(len(steps) for steps in programs)
         executed = 0
 
         while executed < total_instructions:
             progressed = False
             for device in range(num_devices):
-                stream = device_instructions[device]
-                while pointers[device] < len(stream):
-                    instr = stream[pointers[device]]
-                    if isinstance(instr, (ForwardPass, BackwardPass)):
-                        duration = max(self.compute_duration_fn(instr), 0.0)
-                        start = clocks[device]
-                        end = start + duration
-                        clocks[device] = end
-                        compute_busy[device] += duration
-                        if self.activation_bytes_fn is not None:
-                            nbytes = self.activation_bytes_fn(instr)
-                            if isinstance(instr, ForwardPass):
-                                trackers[device].allocate(("act", instr.microbatch), nbytes)
-                            else:
-                                trackers[device].free(("act", instr.microbatch))
-                        label = "F" if isinstance(instr, ForwardPass) else "B"
-                        trace.add(
-                            TraceEvent(
-                                device=device,
-                                name=f"{label}{instr.microbatch}",
-                                start_ms=start,
-                                end_ms=end,
-                                category="compute",
-                                microbatch=instr.microbatch,
-                            )
-                        )
-                        pointers[device] += 1
-                        executed += 1
-                        progressed = True
-                    elif isinstance(instr, _CommStart):
-                        post(device, instr)
-                        pointers[device] += 1
-                        executed += 1
-                        progressed = True
-                    elif isinstance(instr, _CommWait):
-                        key = _transfer_key_for_wait(instr)
-                        if key in completed:
-                            clocks[device] = max(clocks[device], completed[key][1])
-                            pointers[device] += 1
-                            executed += 1
-                            progressed = True
-                        else:
+                steps = programs[device]
+                end = len(steps)
+                pc = first = pointers[device]
+                clock = clocks[device]
+                while pc < end:
+                    step = steps[pc]
+                    code = step[0]
+                    if code == _WAIT:
+                        finish = completed_at[step[1]]
+                        if finish is None:
                             break  # device blocked on an incomplete transfer
-                    else:  # pragma: no cover - defensive
-                        raise TypeError(f"unknown instruction type {type(instr).__name__}")
-            if try_match_channels():
-                progressed = True
-            if not progressed:
-                mismatched = head_mismatch_pairs()
-                blocked = [d for d in range(num_devices) if pointers[d] < len(device_instructions[d])]
-                # A blocked device always sits on a Wait (everything else
-                # executes eagerly), so the head of its remaining stream is
-                # the op that hung.
-                blocked_detail = [
-                    blocked_instruction_detail(d, device_instructions[d][pointers[d]])
-                    for d in blocked
-                ]
-                blocked_summary = describe_blocked_detail(blocked_detail)
-                if mismatched:
-                    detail = ", ".join(f"devices {a}<->{b}" for a, b in mismatched)
-                    raise CommunicationDeadlockError(
-                        f"communication order mismatch on channel(s): {detail}; "
-                        "the posted send/receive orders of the two sides can never "
-                        f"match: {blocked_summary}",
-                        blocked_devices=blocked,
-                        blocked_detail=blocked_detail,
-                    )
-                raise CommunicationDeadlockError(
-                    "execution stalled: devices are waiting on transfers whose peer "
-                    "operation is never posted (missing or mis-ordered Start ops): "
-                    f"{blocked_summary}",
-                    blocked_devices=blocked,
-                    blocked_detail=blocked_detail,
-                )
+                        if finish > clock:
+                            clock = finish
+                    elif code == _START:
+                        channel = step[2]
+                        if not posted[channel]:
+                            posted[channel] = True
+                            posted_order.append(channel)
+                        fifos[channel][step[3]].append((step[1], step[4], clock, step[5]))
+                    else:
+                        duration = duration_fn(step[1])
+                        if duration < 0.0:
+                            duration = 0.0
+                        start = clock
+                        clock = start + duration
+                        compute_busy[device] += duration
+                        microbatch = step[2]
+                        if code == _FORWARD:
+                            if track_memory:
+                                trackers[device].allocate(("act", microbatch), step[3])
+                            rows.append((device, "F", microbatch, start, clock, "compute"))
+                        else:
+                            if track_memory:
+                                trackers[device].free(("act", microbatch))
+                            rows.append((device, "B", microbatch, start, clock, "compute"))
+                    pc += 1
+                if pc != first:
+                    pointers[device] = pc
+                    clocks[device] = clock
+                    executed += pc - first
+                    progressed = True
 
-        makespan = max(clocks) if clocks else 0.0
+            # Complete transfers whose heads match on both sides.
+            for channel in posted_order:
+                side_a, side_b = fifos[channel]
+                while side_a and side_b:
+                    head_a, head_b = side_a[0], side_b[0]
+                    if head_a[0] != head_b[0] or head_a[1] == head_b[1]:
+                        break
+                    start = head_a[2]
+                    if head_b[2] > start:
+                        start = head_b[2]
+                    if channel_free[channel] > start:
+                        start = channel_free[channel]
+                    nbytes = head_a[3]
+                    if head_b[3] > nbytes:
+                        nbytes = head_b[3]
+                    key = transfers[head_a[0]]
+                    sender = key[0]
+                    transfer_ms = transfer_time_fn(nbytes, sender, key[1])
+                    if transfer_ms < 0.0:
+                        transfer_ms = 0.0
+                    finish = start + transfer_ms
+                    completed_at[head_a[0]] = finish
+                    transfer_log.append((key, start, finish))
+                    channel_free[channel] = finish
+                    rows.append((sender, _SEND_PREFIX[key[3]], key[2], start, finish, "comm"))
+                    side_a.popleft()
+                    side_b.popleft()
+                    progressed = True
+
+            if not progressed:
+                self._raise_deadlock(device_instructions, pointers, program, fifos, posted_order)
+
         return ExecutionResult(
-            makespan_ms=makespan,
-            device_finish_ms=list(clocks),
+            makespan_ms=max(clocks) if clocks else 0.0,
+            device_finish_ms=clocks,
             device_compute_ms=compute_busy,
             peak_memory_bytes=[tracker.peak_bytes for tracker in trackers],
             transfer_log=transfer_log,
-            trace=trace,
+            trace_rows=rows,
+        )
+
+    @staticmethod
+    def _raise_deadlock(device_instructions, pointers, program, fifos, posted_order) -> None:
+        """Raise the :class:`CommunicationDeadlockError` of a stalled run."""
+        # Channels whose heads are both posted but can never match.
+        mismatched = []
+        for channel in posted_order:
+            side_a, side_b = fifos[channel]
+            if side_a and side_b:
+                head_a, head_b = side_a[0], side_b[0]
+                if head_a[0] != head_b[0] or head_a[1] == head_b[1]:
+                    mismatched.append(program.channels[channel])
+        blocked = [
+            d for d in range(len(device_instructions))
+            if pointers[d] < len(device_instructions[d])
+        ]
+        # A blocked device always sits on a Wait (everything else executes
+        # eagerly), so the head of its remaining stream is the op that hung.
+        blocked_detail = [
+            blocked_instruction_detail(d, device_instructions[d][pointers[d]]) for d in blocked
+        ]
+        blocked_summary = describe_blocked_detail(blocked_detail)
+        if mismatched:
+            detail = ", ".join(f"devices {a}<->{b}" for a, b in mismatched)
+            raise CommunicationDeadlockError(
+                f"communication order mismatch on channel(s): {detail}; "
+                "the posted send/receive orders of the two sides can never "
+                f"match: {blocked_summary}",
+                blocked_devices=blocked,
+                blocked_detail=blocked_detail,
+            )
+        raise CommunicationDeadlockError(
+            "execution stalled: devices are waiting on transfers whose peer "
+            "operation is never posted (missing or mis-ordered Start ops): "
+            f"{blocked_summary}",
+            blocked_devices=blocked,
+            blocked_detail=blocked_detail,
         )

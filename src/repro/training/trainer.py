@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from repro.backends import BackendOptions, ExecutionBackend, get_backend
+from repro.backends import ExecutionBackend, get_backend
 from repro.batching.metrics import PaddingStats
 from repro.cluster.device import SimulatedGPU
 from repro.cluster.network import NetworkModel
@@ -29,12 +29,11 @@ from repro.core.planner import IterationPlan
 from repro.data.sampler import MiniBatch, MiniBatchSampler
 from repro.data.tasks import Sample
 from repro.data.truncation import truncate_samples
-from repro.instructions.ops import BackwardPass, ForwardPass, PipelineInstruction
-from repro.model.transformer import build_stage_models
 from repro.obs import state as _obs_state
 from repro.obs.spans import span as _span
 from repro.runtime.planner_pool import PlannerPool
 from repro.simulator.executor import ExecutionResult
+from repro.simulator.ground_truth import GroundTruth
 from repro.training.throughput import IterationRecord, TrainingReport
 from repro.utils.rng import SeedLike, new_rng
 
@@ -157,11 +156,8 @@ class TrainingSession:
         )
         # Ground-truth stage models driven by a *noisy* device: this is what
         # "really" happens when a plan executes.
-        self.stage_models = build_stage_models(
-            cost_model.config,
-            cost_model.num_stages,
-            tensor_parallel=cost_model.tensor_parallel,
-            zero_shards=cost_model.zero_shards,
+        self.ground_truth = GroundTruth(
+            cost_model, self.network, same_node=self.config.stages_same_node
         )
         self._noise_rng = new_rng(self.config.seed)
         #: Per-replica op traces of the most recent executed iteration
@@ -178,8 +174,8 @@ class TrainingSession:
 
     # ------------------------------------------------------------------ execution
 
-    def _make_backend(self) -> ExecutionBackend:
-        """Execution backend with fresh per-iteration noise.
+    def _make_backend(self, plan: ExecutionPlan) -> ExecutionBackend:
+        """Execution backend for one replica plan, with fresh noise.
 
         Exactly one noise-seed draw per call regardless of backend, so the
         checkpoint/resume RNG fast-forward (one draw per replica executor)
@@ -191,33 +187,9 @@ class TrainingSession:
             noise_std=self.config.noise_std,
             seed=int(self._noise_rng.integers(0, 2**31 - 1)),
         )
-
-        def duration(instr: PipelineInstruction) -> float:
-            stage_model = self.stage_models[instr.stage]
-            if isinstance(instr, ForwardPass):
-                return stage_model.forward_time_ms(noisy_gpu, instr.shape)
-            if isinstance(instr, BackwardPass):
-                return stage_model.backward_time_ms(noisy_gpu, instr.shape, instr.recompute)
-            raise TypeError(f"not a compute instruction: {type(instr).__name__}")
-
-        def activation(instr: PipelineInstruction) -> float:
-            return self.stage_models[instr.stage].activation_bytes(instr.shape, instr.recompute)
-
-        def transfer(nbytes: float, src: int, dst: int) -> float:
-            return self.network.p2p_time_ms(nbytes, same_node=self.config.stages_same_node)
-
-        static = [
-            self.cost_model.stage_static_bytes(j) for j in range(self.cost_model.num_stages)
-        ]
-        options = BackendOptions(
-            compute_duration_fn=duration,
-            transfer_time_fn=transfer,
-            activation_bytes_fn=activation,
-            static_bytes=static,
-        )
         return get_backend(
             self.config.execution_backend,
-            options,
+            self.ground_truth.backend_options(plan.device_instructions, noisy_gpu),
             **(self.config.backend_options or {}),
         )
 
@@ -241,7 +213,7 @@ class TrainingSession:
         traces = []
         with _span("execute", num_replicas=len(plans)):
             for plan in plans:
-                backend = self._make_backend()
+                backend = self._make_backend(plan)
                 result: ExecutionResult = backend.run(plan.device_instructions)
                 replica_times.append(result.makespan_ms)
                 peak_memory = max(peak_memory, max(result.peak_memory_bytes))
