@@ -8,13 +8,16 @@ small models whose profiles build in about a second.  The split table has
 decoder-only (GPT) rows over growing mini-batches, an encoder-decoder (T5)
 row, and a recomputation-retry row in which NONE is infeasible (rejected by
 the singleton gate) before FULL succeeds, as in the planner's mode search.
-Run it with
+A second table times the DP solve alone on the same GPT and T5
+mini-batches: the full-width recurrence kept in ``tests/oracles`` against
+the width-bounded one in ``repro.core.dp_solver``, with their solutions
+asserted equal.  Run it with
 
     pytest benchmarks/bench_planner_hotpath.py --benchmark-disable -s
 
 (or ``pytest benchmarks/ -m tier2_bench``) to catch planning-time
 regressions without the full Fig. 17 sweep.  Besides timing, it asserts that
-the vectorized partition matches the scalar reference path exactly and that
+the table-driven partition matches the scalar oracle exactly and that
 pooled plans are bit-identical to serial planning.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a reduced workload with the timing
@@ -26,13 +29,17 @@ additionally requires >= 4 CPU cores (the claim is about multi-core hosts).
 from __future__ import annotations
 
 import os
+import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.dp_solver import PartitionError
+from repro.core.dp_solver import PartitionError, solve_partition
 from repro.core.microbatch import DynamicMicroBatcher
+from repro.core.ordering import order_samples
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.costmodel.cost_model import CostModel
 from repro.data.tasks import Sample
@@ -42,6 +49,9 @@ from repro.model.memory import RecomputeMode
 from repro.runtime.planner_pool import PlannerPool
 
 from common import emit
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import dp_solver as dp_oracle  # noqa: E402
 
 #: Reduced workload + relaxed timing asserts (used as a tier-1 smoke check).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
@@ -56,6 +66,11 @@ MINIBATCH_SIZES = (64, 192) if SMOKE else (64, 192, 448)
 #: Mini-batch size of the encoder-decoder and recomputation-retry rows.
 T5_MINIBATCH_SAMPLES = 192
 REPEATS = 1 if SMOKE else 3
+
+#: Timed solves per row of the DP-solve table (median reported).
+DP_SOLVE_REPEATS = 3 if SMOKE else 9
+#: Required speed-up of the width-bounded recurrence over the full-width one.
+DP_SOLVE_SPEEDUP_FLOOR = 1.5
 
 #: Planner-pool scaling: worker counts compared on the same iteration set.
 POOL_WORKER_COUNTS = (1, 4)
@@ -136,20 +151,19 @@ def retry_limit(cost_model, samples) -> float:
 
 
 def assert_matches_scalar(cost_model, samples, modes=(RecomputeMode.NONE,), **kwargs):
-    """The fast path partitions exactly like the scalar reference, and an
+    """The table path partitions exactly like the scalar oracle, and an
     infeasible mode fails with the same error on both."""
-    fast = DynamicMicroBatcher(cost_model, tmax_sample_count=16, vectorized=True, **kwargs)
-    slow = DynamicMicroBatcher(cost_model, tmax_sample_count=16, vectorized=False, **kwargs)
+    batcher = DynamicMicroBatcher(cost_model, tmax_sample_count=16, **kwargs)
     for mode in modes[:-1]:
         with pytest.raises(PartitionError) as fast_error:
-            fast.split(samples, mode)
+            batcher.split(samples, mode)
         with pytest.raises(PartitionError) as slow_error:
-            slow.split(samples, mode)
+            dp_oracle.scalar_split(batcher, samples, mode)
         assert str(fast_error.value) == str(slow_error.value)
-    fast.split(samples, modes[-1])
-    slow.split(samples, modes[-1])
-    assert fast.last_solution.boundaries == slow.last_solution.boundaries
-    assert fast.last_solution.objective == slow.last_solution.objective
+    batcher.split(samples, modes[-1])
+    _, scalar = dp_oracle.scalar_split(batcher, samples, modes[-1])
+    assert batcher.last_solution.boundaries == scalar.boundaries
+    assert batcher.last_solution.objective == scalar.objective
 
 
 def _row(workload, num_samples, elapsed, solution):
@@ -228,6 +242,86 @@ def test_planner_hotpath(benchmark, capsys):
         num_samples, evaluations = row[1], row[4]
         max_windows = num_samples * min(num_samples, 256)
         assert 0 < evaluations <= max_windows
+
+
+# --------------------------------------------------------------------- DP solve
+
+
+def bench_dp_solve(workload, cost_model, samples):
+    """Median full-width vs width-bounded solve time on one mini-batch's table.
+
+    Both recurrences solve the same window cost table; their solutions are
+    asserted equal field by field.
+    """
+    batcher = DynamicMicroBatcher(cost_model, tmax_sample_count=16)
+    ordered = order_samples(samples, batcher.ordering, decoder_only=batcher.decoder_only)
+    table = batcher.build_window_cost_table(ordered)
+    args = (
+        len(ordered), cost_model.num_stages, table, batcher.sum_weight,
+        batcher.max_microbatch_size, batcher.tmax_sample_count,
+    )
+
+    solvers = {"full": dp_oracle.solve_partition_table, "bounded": solve_partition}
+    elapsed = {name: [] for name in solvers}
+    solutions = {}
+    # Alternate which recurrence runs first so host-speed drift hits both.
+    for repeat in range(DP_SOLVE_REPEATS):
+        for name in sorted(solvers, reverse=repeat % 2 == 1):
+            start = time.perf_counter()
+            solutions[name] = solvers[name](*args)
+            elapsed[name].append(time.perf_counter() - start)
+    full, bounded = solutions["full"], solutions["bounded"]
+    assert bounded == full, f"{workload}: width-bounded solution differs from the oracle"
+    full_s, bounded_s = (statistics.median(elapsed[name]) for name in ("full", "bounded"))
+    return [
+        workload,
+        len(ordered),
+        bounded.candidates_evaluated,
+        round(full_s * 1e3, 3),
+        round(bounded_s * 1e3, 3),
+        round(full_s / bounded_s, 2),
+        bounded.num_microbatches,
+    ]
+
+
+def run_dp_solve():
+    cost_model = CostModel(
+        BENCH_CONFIG, num_stages=4, max_profile_batch_size=128, max_profile_seq_len=2048
+    )
+    rows = [
+        bench_dp_solve("gpt", cost_model, synthetic_minibatch(n, seed=n))
+        for n in MINIBATCH_SIZES
+    ]
+    t5_cost_model = CostModel(
+        BENCH_T5_CONFIG, num_stages=2, max_profile_batch_size=128, max_profile_seq_len=2048
+    )
+    samples = synthetic_minibatch(T5_MINIBATCH_SAMPLES, seed=5, encoder_decoder=True)
+    rows.append(bench_dp_solve("t5", t5_cost_model, samples))
+    return rows
+
+
+DP_SOLVE_HEADERS = [
+    "workload", "minibatch_samples", "tmax_candidates", "full_width_ms",
+    "width_bounded_ms", "speedup", "num_microbatches",
+]
+
+
+@pytest.mark.tier2_bench
+def test_dp_solve(benchmark, capsys):
+    rows = benchmark.pedantic(run_dp_solve, rounds=1, iterations=1)
+    emit(
+        "planner_dp_solve",
+        "DP solve per mini-batch (median ms): full-width recurrence (oracle) vs "
+        "width-bounded recurrence (solutions asserted equal)",
+        DP_SOLVE_HEADERS,
+        rows,
+        capsys,
+    )
+    if not SMOKE:
+        for row in rows:
+            assert row[5] >= DP_SOLVE_SPEEDUP_FLOOR, (
+                f"{row[0]} ({row[1]} samples): width-bounded solve only {row[5]}x"
+            )
 
 
 # --------------------------------------------------------------------- pool

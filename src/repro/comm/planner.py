@@ -23,7 +23,9 @@ and the baseline to demonstrate the problem.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from repro.comm.shapes import TransferShapes
@@ -76,6 +78,31 @@ def _compute_instruction(
     return BackwardPass(microbatch=op.microbatch, stage=op.stage, shape=shape, recompute=mode)
 
 
+def _start_bounds(
+    schedule: PipelineSchedule, op_times: dict[ComputeOp, tuple[float, float]]
+) -> list[list[float]]:
+    """Per device, the running maximum of its compute ops' start times.
+
+    The first op of a device that starts at or after some time is the first
+    position where this running maximum reaches that time, so
+    :func:`_anchor_for_time` can bisect it even when start times are not
+    monotone in the device's op order.
+    """
+    return [
+        list(accumulate((op_times[op][0] for op in stage_schedule.ops), max))
+        for stage_schedule in schedule.stages
+    ]
+
+
+def _anchor_for_time(bounds: Sequence[float], time: float) -> int:
+    """First compute-op position whose start is at/after ``time`` (within 1e-9).
+
+    ``bounds`` is one device's entry of :func:`_start_bounds`; the result is
+    ``len(bounds)`` when every op starts earlier.
+    """
+    return bisect_left(bounds, time - 1e-9)
+
+
 def _normalise_recompute(
     recompute: RecomputeMode | Sequence[RecomputeMode], count: int
 ) -> list[RecomputeMode]:
@@ -122,12 +149,7 @@ def build_instruction_streams(
         for position, op in enumerate(stage_schedule.ops):
             op_position[op] = position
 
-    def anchor_for_time(device: int, time: float) -> int:
-        """First compute-op position on ``device`` that starts at/after ``time``."""
-        for position, op in enumerate(schedule.stage(device).ops):
-            if op_times[op][0] >= time - 1e-9:
-                return position
-        return len(schedule.stage(device).ops)
+    bounds = _start_bounds(schedule, op_times)
 
     planned: list[_PlannedComm] = []
     sequence = 0
@@ -145,7 +167,7 @@ def build_instruction_streams(
             )
             sequence += 1
             planned.append(
-                _PlannedComm(op.stage + 1, anchor_for_time(op.stage + 1, end_time), end_time, sequence, recv)
+                _PlannedComm(op.stage + 1, _anchor_for_time(bounds[op.stage + 1], end_time), end_time, sequence, recv)
             )
             sequence += 1
         elif op.op_type is OpType.BACKWARD and op.stage > 0:
@@ -157,7 +179,7 @@ def build_instruction_streams(
             )
             sequence += 1
             planned.append(
-                _PlannedComm(op.stage - 1, anchor_for_time(op.stage - 1, end_time), end_time, sequence, recv)
+                _PlannedComm(op.stage - 1, _anchor_for_time(bounds[op.stage - 1], end_time), end_time, sequence, recv)
             )
             sequence += 1
 

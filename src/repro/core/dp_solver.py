@@ -17,33 +17,35 @@ bound the O(N⁴) exact formulation), and for each candidate an O(N·W) DP
 finds the best partition whose micro-batches all respect ``t_max`` and the
 per-micro-batch memory limit.
 
-Two execution paths are provided:
+The DP reads a dense :class:`WindowCostTable` of window times and
+feasibility flags, built by :class:`~repro.core.microbatch.DynamicMicroBatcher`
+from one batched cost-model query over the unique window shapes.  All
+candidates' DPs advance together, end by end, and each end touches only the
+window sizes some candidate can pick:
 
-* the scalar path (``time_fn`` / ``feasible_fn`` callbacks), the reference
-  implementation, which lazily memoises window costs; and
-* the vectorized fast path (``cost_table``), which runs the inner DP against
-  a dense :class:`WindowCostTable` of precomputed window times and
-  feasibility flags (built by
-  :class:`~repro.core.microbatch.DynamicMicroBatcher` from one batched
-  cost-model query over the unique window shapes) and advances the
-  independent per-candidate DP passes together over one
-  ``(candidate, end)`` grid instead of looping candidates in Python.
+* **Admissible prefixes up front.**  A window ending at ``end`` is
+  admissible for ``t_max`` while every window of that end up to its size is
+  feasible and no slower than ``t_max``.  One pass over the table ranks each
+  window time among the (ascending) candidates, folds in feasibility and
+  takes the running maximum along each end's sizes; counting ranks then
+  gives every ``(end, candidate)`` admissible-prefix length.
+* **Width-bounded steps.**  Each end adds its window times to the
+  candidates' best costs of the matching starts for the widest candidate's
+  prefix only, masks each candidate's sizes past its own prefix, and keeps
+  the first minimum (the smallest window) — the same sums, comparisons and
+  tie-break as a full-width pass.
 
-Both paths produce identical partitions; the fast path removes every
-per-window Python-level cost-model call from the DP inner loop.
+The working set is O(C·N + N·W) for C candidates, N samples and window
+width W.  ``tests/oracles/dp_solver.py`` keeps the scalar callback DP and the
+full-width recurrence this replaced; both must give identical partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-#: Cost of the micro-batch formed from the half-open index range [start, end).
-MicroBatchCostFn = Callable[[int, int], float]
-#: Feasibility (memory limit) of the micro-batch formed from [start, end).
-MicroBatchFeasibleFn = Callable[[int, int], bool]
 
 
 class PartitionError(ValueError):
@@ -70,10 +72,9 @@ class DPSolution:
         objective: Value of the optimised objective for the chosen partition.
         tmax_used: The ``t_max`` candidate that produced the best partition.
         candidates_evaluated: Number of ``t_max`` candidates tried.
-        cost_evaluations: Number of cost-function evaluations performed
-            (reported by the planning-time experiment, Fig. 17).  On the
-            vectorized path this counts the unique window shapes costed by
-            the batched cost-model query.
+        cost_evaluations: Number of unique window shapes costed by the
+            batched cost-model query that filled the table (reported by the
+            planning-time experiment, Fig. 17).
     """
 
     boundaries: list[tuple[int, int]]
@@ -101,7 +102,7 @@ class DPSolution:
 
 @dataclass
 class WindowCostTable:
-    """Dense window time / feasibility tables for the vectorized DP.
+    """Dense window time / feasibility tables for the DP.
 
     Row ``start``, column ``size - 1`` describes the window
     ``[start, start + size)``.  Entries beyond the sample count hold ``inf``
@@ -111,7 +112,7 @@ class WindowCostTable:
         times: ``(num_samples, max_window)`` window execution times in ms.
         feasible: ``(num_samples, max_window)`` memory-feasibility flags.
         unique_shape_evaluations: Number of unique window shapes that were
-            costed to fill the table (the fast path's ``cost_evaluations``).
+            costed to fill the table (the solution's ``cost_evaluations``).
     """
 
     times: np.ndarray
@@ -146,59 +147,22 @@ class WindowCostTable:
         return bool(self.feasible[start, end - start - 1])
 
 
-class _CostCache:
-    """Memoises the window cost/feasibility functions and counts calls."""
-
-    def __init__(self, time_fn: MicroBatchCostFn, feasible_fn: MicroBatchFeasibleFn | None):
-        self._time_fn = time_fn
-        self._feasible_fn = feasible_fn
-        self._time: dict[tuple[int, int], float] = {}
-        self._feasible: dict[tuple[int, int], bool] = {}
-        self.evaluations = 0
-
-    def time(self, start: int, end: int) -> float:
-        key = (start, end)
-        if key not in self._time:
-            self._time[key] = float(self._time_fn(start, end))
-            self.evaluations += 1
-        return self._time[key]
-
-    def feasible(self, start: int, end: int) -> bool:
-        if self._feasible_fn is None:
-            return True
-        key = (start, end)
-        if key not in self._feasible:
-            self._feasible[key] = bool(self._feasible_fn(start, end))
-        return self._feasible[key]
-
-
-def _tmax_candidates(
-    time: MicroBatchCostFn,
-    num_samples: int,
-    max_microbatch_size: int,
-    sample_count: int,
-) -> list[float]:
+def _tmax_candidates(times: np.ndarray, max_window: int, sample_count: int) -> list[float]:
     """Candidate values for the maximum micro-batch execution time.
 
     The exact formulation enumerates all O(N²) window times; the paper's
     speed-up samples the range at fixed intervals.  We probe window times at
-    geometrically growing window sizes from every few start positions, then
-    thin the sorted unique values down to ``sample_count`` candidates.  The
-    smallest candidate is always the largest singleton time (any smaller
-    ``t_max`` admits no feasible partition).
+    power-of-two window sizes up to ``max_window`` from every few start
+    positions, then thin the sorted unique values down to ``sample_count``
+    candidates.  The smallest candidate is always the largest singleton time
+    (any smaller ``t_max`` admits no feasible partition).
     """
-    singleton_max = max(time(i, i + 1) for i in range(num_samples))
-    probed: set[float] = set()
-    stride = max(1, num_samples // 64)
-    for start in range(0, num_samples, stride):
-        size = 1
-        while size <= max_microbatch_size and start + size <= num_samples:
-            window_time = time(start, start + size)
-            if window_time >= singleton_max:
-                probed.add(window_time)
-            size *= 2
-    probed.add(singleton_max)
-    values = sorted(probed)
+    num_samples = times.shape[0]
+    singleton_max = times[:, 0].max()
+    starts = np.arange(0, num_samples, max(1, num_samples // 64))[:, None]
+    sizes = 1 << np.arange(max_window.bit_length())
+    probed = times[starts, sizes - 1][starts + sizes <= num_samples]
+    values = np.unique(np.append(probed[probed >= singleton_max], singleton_max)).tolist()
     if len(values) <= sample_count:
         return values
     if sample_count <= 1:
@@ -212,149 +176,138 @@ def _tmax_candidates(
     return sorted(set(picked))
 
 
-def _partition_for_tmax(
-    cache: _CostCache,
-    num_samples: int,
-    tmax: float,
-    max_microbatch_size: int,
-) -> tuple[list[tuple[int, int]], list[float]] | None:
-    """Optimal partition with every micro-batch time <= ``tmax`` (Eq. 2).
+def _by_end(values: np.ndarray, fill) -> np.ndarray:
+    """Re-index a ``(start, size)`` table as ``(size, end)``.
 
-    Returns ``None`` when no feasible partition exists for this ``tmax``.
+    ``out[size - 1, end - 1]`` is ``values[end - size, size - 1]``, or
+    ``fill`` for a window that would start before sample 0.  The table is
+    copied transposed behind ``width`` fill columns per row and read back
+    with rows one element shorter, which shifts row ``size - 1`` left by
+    ``size - 1``: one copy and no index arrays.
     """
-    best_cost = [float("inf")] * (num_samples + 1)
-    best_prev = [-1] * (num_samples + 1)
-    best_cost[0] = 0.0
-    for end in range(1, num_samples + 1):
-        window_limit = min(max_microbatch_size, end)
-        for size in range(1, window_limit + 1):
-            start = end - size
-            window_time = cache.time(start, end)
-            if window_time > tmax:
-                # Window times grow with window size, so larger windows
-                # cannot satisfy the bound either.
-                break
-            if not cache.feasible(start, end):
-                break
-            if best_cost[start] == float("inf"):
-                continue
-            candidate = best_cost[start] + window_time
-            if candidate < best_cost[end]:
-                best_cost[end] = candidate
-                best_prev[end] = start
-    if best_cost[num_samples] == float("inf"):
-        return None
-    boundaries: list[tuple[int, int]] = []
-    end = num_samples
-    while end > 0:
-        start = best_prev[end]
-        boundaries.append((start, end))
-        end = start
-    boundaries.reverse()
-    times = [cache.time(start, end) for start, end in boundaries]
-    return boundaries, times
+    n, width = values.shape
+    skewed = np.full((width, n + width), fill, dtype=values.dtype)
+    skewed[:, width:] = values.T
+    row = n + width - 1
+    return skewed.ravel()[width : width + width * row].reshape(width, row)[:, :n]
+
+
+def _admissible_prefixes(
+    times: np.ndarray, feasible: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Admissible-prefix lengths of every ``(end, candidate)`` pair.
+
+    Returns ``(prefix, times_by_end)``.  ``prefix[end - 1, c]`` is the number
+    of leading sizes ``s`` for which every window ``[end - s', end)``,
+    ``s' <= s``, is feasible and no slower than ``bounds[c]``: the prefix
+    ``logical_and.accumulate((t <= t_max) & feasible)`` gives, also when
+    window times are not monotone in size.  ``times_by_end[s - 1, end - 1]``
+    is the time of ``[end - s, end)``, for sizes up to the widest prefix.
+    ``bounds`` must be ascending.
+    """
+    num_samples = times.shape[0]
+    num_candidates = len(bounds)
+    # Sizes no candidate admits at any end need no further work.
+    admitted = ((times <= bounds[-1]) & feasible).any(axis=0)
+    width = len(admitted) - int(np.argmax(admitted[::-1]))
+    times, feasible = times[:, :width], feasible[:, :width]
+    # rank = number of candidates below the window time: candidate c admits
+    # the window iff rank <= c.  Infeasible windows rank past every
+    # candidate, and a running maximum over sizes turns "this window" into
+    # "this window and every smaller one of the same end".
+    rank = np.searchsorted(bounds, times)
+    rank[~feasible] = num_candidates
+    rank = np.maximum.accumulate(_by_end(rank, num_candidates), axis=0)
+    # Count each end's sizes per rank, then accumulate over candidates.
+    rank += np.arange(num_samples) * (num_candidates + 1)
+    counts = np.bincount(rank.ravel(), minlength=num_samples * (num_candidates + 1))
+    prefix = counts.reshape(num_samples, num_candidates + 1)[:, :num_candidates].cumsum(axis=1)
+    return prefix, _by_end(times, np.inf)
 
 
 def _partitions_for_tmax_batch(
-    end_times: np.ndarray,
-    end_feasible: np.ndarray,
-    num_samples: int,
+    times: np.ndarray,
+    feasible: np.ndarray,
     tmaxes: Sequence[float],
 ) -> list[tuple[list[tuple[int, int]], list[float]] | None]:
-    """Eq. 2 DP for *all* ``t_max`` candidates in one (candidate, end) pass.
+    """Eq. 2 DP for every ``t_max`` candidate, advanced together end by end.
 
-    The per-candidate DP passes are independent (ROADMAP: "Parallel t_max
-    candidates"), so instead of looping candidates in Python the recurrence
-    advances a ``(num_candidates, num_samples + 1)`` cost matrix end by end:
-    each step evaluates every candidate's admissible window sizes with one
-    batch of numpy operations.  Arithmetic, admissible-prefix computation and
-    argmin tie-breaking (first minimum → smallest window) are exactly those
-    of the single-candidate recurrence, so each candidate's partition is
-    bit-identical to running it alone.
+    ``times``/``feasible`` are ``(start, size)`` window tables and ``tmaxes``
+    the ascending candidates.  Each end evaluates only the sizes up to its
+    widest admissible prefix: one add of the row's window times to the
+    candidates' best costs of the matching starts, each candidate's sizes
+    past its own prefix masked to ``inf``, then the first minimum (smallest
+    window) per candidate.  Sums, comparisons and tie-breaks are those of a
+    single candidate's DP, so each partition is bit-identical to running
+    that candidate alone.
 
-    Returns one ``(boundaries, times)`` pair — or ``None`` when infeasible —
-    per candidate, in input order.
+    Returns one ``(boundaries, times)`` pair — or ``None`` when no partition
+    respects the candidate — per candidate, in input order.
     """
-    num_candidates = len(tmaxes)
-    max_window = end_times.shape[1]
-    bounds = np.asarray(list(tmaxes), dtype=float)[:, None]
-    best_cost = np.full((num_candidates, num_samples + 1), np.inf)
-    best_prev = np.full((num_candidates, num_samples + 1), -1, dtype=np.int64)
-    best_cost[:, 0] = 0.0
-    rows = np.arange(num_candidates)
+    num_samples = times.shape[0]
+    bounds = np.asarray(tmaxes, dtype=float)
+    if np.any(bounds[1:] < bounds[:-1]):
+        raise ValueError("t_max candidates must be in ascending order")
+    num_candidates = len(bounds)
+    prefix, times_by_end = _admissible_prefixes(times, feasible, bounds)
+    reach = prefix[:, -1].tolist()
+    limits = list(prefix[:, :, None])
+    sizes = np.arange(times_by_end.shape[0])
+    candidates = np.arange(num_candidates)
+    # Column num_samples - k holds each candidate's best cost of the first k
+    # samples, so the starts of sizes 1..w ending at `end` are the w
+    # columns from num_samples - end + 1 on, in size order.
+    cost = np.full((num_candidates, num_samples + 1), np.inf)
+    cost[:, num_samples] = 0.0
+    # best_size[end, c]: size - 1 of the last window of candidate c's best
+    # partition of the first `end` samples.
+    best_size = np.zeros((num_samples + 1, num_candidates), dtype=np.intp)
     for end in range(1, num_samples + 1):
-        row_times = end_times[end - 1]
-        # Admissible sizes form a contiguous prefix (window times grow with
-        # window size); logical-and accumulation stops at the first violation.
-        admissible = (row_times[None, :] <= bounds) & end_feasible[end - 1][None, :]
-        prefix_mask = np.logical_and.accumulate(admissible, axis=1)
-        # Window size s ends at `end` and starts at `end - s`; sizes
-        # 1..min(max_window, end) map onto best_cost[:, end - 1 .. end - s],
-        # i.e. a reversed slice (padded with inf for sizes larger than end).
-        width = min(max_window, end)
-        prev_cost = np.full((num_candidates, max_window), np.inf)
-        prev_cost[:, :width] = best_cost[:, end - width : end][:, ::-1]
-        candidates = np.where(prefix_mask, prev_cost + row_times[None, :], np.inf)
-        pick = np.argmin(candidates, axis=1)
-        values = candidates[rows, pick]
-        update = np.isfinite(values)
-        best_cost[update, end] = values[update]
-        best_prev[update, end] = end - (pick[update] + 1)
+        width = reach[end - 1]
+        if not width:
+            continue
+        first = num_samples - end + 1
+        sums = cost[:, first : first + width] + times_by_end[:width, end - 1]
+        np.copyto(sums, np.inf, where=sizes[:width] >= limits[end - 1])
+        pick = sums.argmin(axis=1, out=best_size[end])
+        cost[:, first - 1] = sums[candidates, pick]
 
     results: list[tuple[list[tuple[int, int]], list[float]] | None] = []
-    for c in range(num_candidates):
-        if not np.isfinite(best_cost[c, num_samples]):
+    for finite, chosen in zip(np.isfinite(cost[:, 0]), best_size.T.tolist()):
+        if not finite:
             results.append(None)
             continue
         boundaries: list[tuple[int, int]] = []
         end = num_samples
         while end > 0:
-            start = int(best_prev[c, end])
+            start = end - 1 - chosen[end]
             boundaries.append((start, end))
             end = start
         boundaries.reverse()
-        times = [float(end_times[end - 1, end - start - 1]) for start, end in boundaries]
-        results.append((boundaries, times))
+        window_times = [float(times[start, end - start - 1]) for start, end in boundaries]
+        results.append((boundaries, window_times))
     return results
-
-
-def _end_major_tables(table: WindowCostTable) -> tuple[np.ndarray, np.ndarray]:
-    """Re-index the (start, size) tables by (end, size) for the DP inner loop."""
-    n, max_window = table.num_samples, table.max_window
-    ends = np.arange(1, n + 1)[:, None]
-    sizes = np.arange(1, max_window + 1)[None, :]
-    starts = ends - sizes
-    valid = starts >= 0
-    clipped = np.where(valid, starts, 0)
-    end_times = np.where(valid, table.times[clipped, sizes - 1], np.inf)
-    end_feasible = valid & table.feasible[clipped, sizes - 1]
-    return end_times, end_feasible
 
 
 def solve_partition(
     num_samples: int,
     num_stages: int,
-    time_fn: MicroBatchCostFn | None = None,
-    feasible_fn: MicroBatchFeasibleFn | None = None,
+    cost_table: WindowCostTable,
     sum_weight: float = 1.0,
     max_microbatch_size: int = 512,
     tmax_sample_count: int = 24,
-    cost_table: WindowCostTable | None = None,
 ) -> DPSolution:
     """Find the micro-batch partition minimising the Eq. 1 objective.
 
     Args:
         num_samples: Number of (already ordered) samples.
         num_stages: Number of pipeline stages ``c``.
-        time_fn: Window time ``t(M)`` for a half-open sample index range
-            (scalar path; ignored when ``cost_table`` is given).
-        feasible_fn: Optional memory-limit check for a window (scalar path).
+        cost_table: Dense window times and feasibility flags of the ordered
+            samples.
         sum_weight: Weight of the Σ t(M) term (``1/|D|`` under data parallelism).
         max_microbatch_size: Upper bound on samples per micro-batch (bounds
             the DP inner loop; generous by default).
         tmax_sample_count: Number of ``t_max`` candidates to evaluate.
-        cost_table: Precomputed dense window costs; selects the vectorized
-            fast path.
 
     Raises:
         PartitionError: If even single-sample micro-batches are infeasible.
@@ -367,102 +320,37 @@ def solve_partition(
         raise ValueError(f"sum_weight must be > 0, got {sum_weight}")
     if max_microbatch_size < 1:
         raise ValueError(f"max_microbatch_size must be >= 1, got {max_microbatch_size}")
-    if cost_table is None and time_fn is None:
-        raise ValueError("either time_fn or cost_table is required")
-
-    if cost_table is not None:
-        return _solve_partition_table(
-            cost_table,
-            num_samples,
-            num_stages,
-            sum_weight,
-            max_microbatch_size,
-            tmax_sample_count,
-        )
-
-    cache = _CostCache(time_fn, feasible_fn)
-    for i in range(num_samples):
-        if not cache.feasible(i, i + 1):
-            raise singleton_infeasible_error(i)
-
-    candidates = _tmax_candidates(
-        cache.time, num_samples, max_microbatch_size, tmax_sample_count
-    )
-
-    best: DPSolution | None = None
-    for tmax in candidates:
-        result = _partition_for_tmax(cache, num_samples, tmax, max_microbatch_size)
-        if result is None:
-            continue
-        boundaries, times = result
-        objective = (num_stages - 1) * max(times) + sum_weight * sum(times)
-        if best is None or objective < best.objective:
-            best = DPSolution(
-                boundaries=boundaries,
-                times=times,
-                objective=objective,
-                tmax_used=tmax,
-            )
-    if best is None:
-        raise PartitionError(
-            "no feasible partition found for any t_max candidate; this indicates "
-            "an inconsistency between the time and feasibility functions"
-        )
-    best.candidates_evaluated = len(candidates)
-    best.cost_evaluations = cache.evaluations
-    return best
-
-
-def _solve_partition_table(
-    table: WindowCostTable,
-    num_samples: int,
-    num_stages: int,
-    sum_weight: float,
-    max_microbatch_size: int,
-    tmax_sample_count: int,
-) -> DPSolution:
-    """Vectorized fast path of :func:`solve_partition`."""
-    if table.num_samples != num_samples:
+    if cost_table.num_samples != num_samples:
         raise ValueError(
-            f"cost table covers {table.num_samples} samples, expected {num_samples}"
+            f"cost table covers {cost_table.num_samples} samples, expected {num_samples}"
         )
-    if table.max_window < min(max_microbatch_size, num_samples):
+    window = min(max_microbatch_size, num_samples)
+    if cost_table.max_window < window:
         raise ValueError(
-            f"cost table max window {table.max_window} is smaller than "
+            f"cost table max window {cost_table.max_window} is smaller than "
             f"max_microbatch_size {max_microbatch_size}"
         )
 
-    singleton_feasible = table.feasible[:, 0]
+    singleton_feasible = cost_table.feasible[:, 0]
     if not singleton_feasible.all():
         raise singleton_infeasible_error(int(np.argmin(singleton_feasible)))
 
-    candidates = _tmax_candidates(
-        table.time, num_samples, max_microbatch_size, tmax_sample_count
-    )
+    times = cost_table.times[:, :window]
+    candidates = _tmax_candidates(times, window, tmax_sample_count)
+    results = _partitions_for_tmax_batch(times, cost_table.feasible[:, :window], candidates)
 
-    window = min(max_microbatch_size, num_samples, table.max_window)
-    trimmed = WindowCostTable(
-        times=table.times[:, :window],
-        feasible=table.feasible[:, :window],
-        unique_shape_evaluations=table.unique_shape_evaluations,
-    )
-    end_times, end_feasible = _end_major_tables(trimmed)
-
-    # All candidate DP passes advance together in one (candidate, end) grid;
-    # the selection below scans candidates in their original (sorted) order,
-    # so the winner matches the sequential loop exactly.
-    results = _partitions_for_tmax_batch(end_times, end_feasible, num_samples, candidates)
-
+    # Candidates are scanned in ascending order, so ties keep the smallest
+    # t_max, as a sequential loop over candidates would.
     best: DPSolution | None = None
     for tmax, result in zip(candidates, results):
         if result is None:
             continue
-        boundaries, times = result
-        objective = (num_stages - 1) * max(times) + sum_weight * sum(times)
+        boundaries, times_chosen = result
+        objective = (num_stages - 1) * max(times_chosen) + sum_weight * sum(times_chosen)
         if best is None or objective < best.objective:
             best = DPSolution(
                 boundaries=boundaries,
-                times=times,
+                times=times_chosen,
                 objective=objective,
                 tmax_used=tmax,
             )
@@ -472,5 +360,5 @@ def _solve_partition_table(
             "an inconsistency between the time and feasibility functions"
         )
     best.candidates_evaluated = len(candidates)
-    best.cost_evaluations = table.unique_shape_evaluations
+    best.cost_evaluations = cost_table.unique_shape_evaluations
     return best

@@ -83,16 +83,27 @@ def cluster_and_order(
         max_permutations: Safety cap on the number of permutations evaluated.
 
     Returns:
-        The best order found together with search statistics.
+        The best order found together with search statistics.  When no
+        permutation scores finite (e.g. every one exceeds device memory),
+        the order is the input order ``0..n-1`` and ``makespan_ms`` is
+        ``inf``.
+
+    Raises:
+        ValueError: If ``times`` is empty or ``num_clusters`` or
+            ``max_permutations`` is below 1.
     """
     n = len(times)
     if n == 0:
         raise ValueError("at least one micro-batch is required")
+    if num_clusters < 1:
+        raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
+    if max_permutations < 1:
+        raise ValueError(f"max_permutations must be >= 1, got {max_permutations}")
     if n == 1:
         return OrderingSearchResult(order=[0], makespan_ms=score_fn([0]), evaluated=1, cluster_sizes=[1])
 
     clusters = cluster_by_time(times, num_clusters)
-    best_order: list[int] | None = None
+    best_order = list(range(n))
     best_score = float("inf")
     evaluated = 0
     for permutation in permutations(range(len(clusters))):
@@ -106,7 +117,6 @@ def cluster_and_order(
         if score < best_score:
             best_score = score
             best_order = candidate
-    assert best_order is not None
     return OrderingSearchResult(
         order=best_order,
         makespan_ms=best_score,

@@ -85,8 +85,9 @@ class PlannerConfig:
             and timeline per permutation.  Scores are bit-identical either
             way; this knob exists for A/B timing and as an escape hatch.
         num_time_clusters: Number of execution-time clusters for the order
-            search (3–4 per the paper).
-        max_order_permutations: Cap on evaluated cluster permutations.
+            search (3–4 per the paper); at least 1.
+        max_order_permutations: Cap on evaluated cluster permutations; at
+            least 1.
         tmax_sample_count: Number of ``t_max`` candidates in the DP.
         max_microbatch_size: Maximum samples per micro-batch.
         stages_same_node: Whether adjacent pipeline stages share a node
@@ -113,6 +114,14 @@ class PlannerConfig:
     stages_same_node: bool = True
     data_parallel_same_node: bool = False
     model_comm_overlap: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.num_time_clusters < 1:
+            raise ValueError(f"num_time_clusters must be >= 1, got {self.num_time_clusters}")
+        if self.max_order_permutations < 1:
+            raise ValueError(
+                f"max_order_permutations must be >= 1, got {self.max_order_permutations}"
+            )
 
     # ------------------------------------------------------------------ serialisation
 
@@ -448,6 +457,8 @@ class DynaPipePlanner:
             ordering_result = None
             if self.config.order_search and len(shapes) > 1:
                 ordering_result = self._search_injection_order(shapes, mode, transfer_shapes)
+                # A search with no finite permutation returns the input order,
+                # whose build was verified above.
                 if ordering_result.order != list(range(len(shapes))):
                     build, simulation = self._schedule_replica(
                         shapes, mode, transfer_shapes, injection_order=ordering_result.order

@@ -82,8 +82,8 @@ class PlanningRecord:
         pushed_at: ``time.perf_counter()`` timestamp when the plan was pushed
             to the store (parent clock).
         dp_cost_evaluations: Cost-model evaluations the DP performed (unique
-            window shapes on the vectorized fast path); 0 for planners that
-            do not run the DP (baselines).
+            window shapes); 0 for planners that do not run the DP
+            (baselines).
         worker: Identifier of the worker that planned the iteration.
         job: Job stream the iteration belongs to (:data:`DEFAULT_JOB` for
             the legacy construction-time stream).

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import planner as comm_planner
 from repro.comm.deadlock import check_comm_order
-from repro.comm.planner import build_instruction_streams, build_naive_instruction_streams
+from repro.comm.planner import (
+    _anchor_for_time,
+    _start_bounds,
+    build_instruction_streams,
+    build_naive_instruction_streams,
+)
 from repro.comm.shapes import TransferShapes
 from repro.instructions.ops import (
     BackwardPass,
@@ -184,6 +190,81 @@ class TestPlannedStreams:
         transfer_shapes = uniform_transfer_shapes(microbatches, stages)
         streams = build_instruction_streams(schedule, sim.op_times, shapes, transfer_shapes)
         assert check_comm_order(streams).consistent
+
+
+def linear_anchor(starts, time):
+    """The original anchor lookup: scan for the first op starting at/after ``time``."""
+    for position, start in enumerate(starts):
+        if start >= time - 1e-9:
+            return position
+    return len(starts)
+
+
+#: Offsets around an op start that straddle the 1e-9 tolerance.
+TOLERANCE_OFFSETS = (-2e-9, -1e-9, -9.99e-10, -5e-10, 0.0, 5e-10, 1e-9, 1.001e-9, 2e-9)
+
+
+class TestAnchorLookup:
+    """The bisected anchor equals the linear scan it replaced."""
+
+    @given(
+        starts=st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-9, 1.0 + 5e-10, 2.0, 3.25, 7.0]),
+            max_size=12,
+        ),
+        queries=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25, 7.0, 9.0]),
+                st.sampled_from(TOLERANCE_OFFSETS),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_linear_scan(self, starts, queries):
+        """Covers non-monotone starts, equal starts and queries within 1e-9."""
+        bounds = [max(starts[: i + 1]) for i in range(len(starts))]
+        for base, offset in queries:
+            time = base + offset
+            assert _anchor_for_time(bounds, time) == linear_anchor(starts, time)
+
+    def test_streams_match_linear_scan_on_jittered_times(self, monkeypatch):
+        """Whole streams are unchanged when op start times are perturbed so
+        that devices see non-monotone starts and near-ties."""
+        schedule = cyclic_schedule(4, [[1.0] * 4 for _ in range(8)])
+        shapes = [SHAPE] * 8
+        transfer_shapes = uniform_transfer_shapes(8, 4)
+        sim = simulate_schedule(schedule, lambda op: 1.0 + 0.1 * (op.microbatch % 3))
+        jitter = [0.0, 4e-10, -4e-10, 1e-9, -1e-9, 0.3, -1.5]
+        op_times = {
+            op: (start + jitter[index % len(jitter)], end)
+            for index, (op, (start, end)) in enumerate(sorted(
+                sim.op_times.items(), key=lambda item: (item[0].stage, item[1])
+            ))
+        }
+        assert any(
+            any(b < a for a, b in zip(ops, ops[1:]))
+            for ops in ([op_times[op][0] for op in stage.ops] for stage in schedule.stages)
+        )
+        bisected = build_instruction_streams(schedule, op_times, shapes, transfer_shapes)
+        monkeypatch.setattr(
+            comm_planner,
+            "_start_bounds",
+            lambda schedule, times: [[times[op][0] for op in s.ops] for s in schedule.stages],
+        )
+        monkeypatch.setattr(comm_planner, "_anchor_for_time", linear_anchor)
+        scanned = build_instruction_streams(schedule, op_times, shapes, transfer_shapes)
+        assert bisected == scanned
+
+    def test_start_bounds_are_running_maxima(self):
+        schedule = one_f_one_b_schedule(2, 3)
+        starts = iter([0.0, 2.0, 1.0, 3.0, 2.5, 4.0, 5.0, 1.5, 6.0, 6.0, 7.0, 0.5])
+        op_times = {op: (next(starts), 0.0) for stage in schedule.stages for op in stage.ops}
+        assert _start_bounds(schedule, op_times) == [
+            [0.0, 2.0, 2.0, 3.0, 3.0, 4.0],
+            [5.0, 5.0, 6.0, 6.0, 7.0, 7.0],
+        ]
 
 
 class TestNaiveStreams:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from oracles import dp_solver as oracle
 from repro.core.dp_solver import PartitionError, WindowCostTable, solve_partition
 
 
@@ -37,6 +38,36 @@ def brute_force_best(lengths, num_stages, sum_weight=1.0):
     return best
 
 
+def table_from_fns(num_samples, max_window, time_fn, feasible_fn=None):
+    """Dense WindowCostTable built by evaluating the scalar callbacks."""
+    window = min(max_window, num_samples)
+    times = np.full((num_samples, window), np.inf)
+    feasible = np.zeros((num_samples, window), dtype=bool)
+    for start in range(num_samples):
+        for size in range(1, min(window, num_samples - start) + 1):
+            times[start, size - 1] = time_fn(start, start + size)
+            feasible[start, size - 1] = (
+                feasible_fn(start, start + size) if feasible_fn else True
+            )
+    return WindowCostTable(
+        times=times, feasible=feasible, unique_shape_evaluations=num_samples * window
+    )
+
+
+def solve_from_fns(
+    num_samples, num_stages, time_fn, feasible_fn=None, max_microbatch_size=512, **kwargs
+):
+    """``solve_partition`` on the table the scalar callbacks describe."""
+    table = table_from_fns(num_samples, max_microbatch_size, time_fn, feasible_fn)
+    return solve_partition(
+        num_samples,
+        num_stages,
+        cost_table=table,
+        max_microbatch_size=max_microbatch_size,
+        **kwargs,
+    )
+
+
 class TestBasicPartitioning:
     def test_uniform_lengths_grouped_together(self):
         """With identical samples and a per-micro-batch launch overhead, the
@@ -47,17 +78,17 @@ class TestBasicPartitioning:
         def time_with_overhead(start: int, end: int) -> float:
             return 50.0 + window_time_from_lengths(lengths)(start, end)
 
-        solution = solve_partition(16, num_stages=4, time_fn=time_with_overhead)
+        solution = solve_from_fns(16, num_stages=4, time_fn=time_with_overhead)
         assert solution.num_microbatches < 16
 
     def test_single_sample(self):
-        solution = solve_partition(1, 4, time_fn=window_time_from_lengths([100]))
+        solution = solve_from_fns(1, 4, time_fn=window_time_from_lengths([100]))
         assert solution.boundaries == [(0, 1)]
         assert solution.num_microbatches == 1
 
     def test_boundaries_cover_all_samples_contiguously(self):
         lengths = [10, 20, 500, 30, 40, 600, 50]
-        solution = solve_partition(
+        solution = solve_from_fns(
             len(lengths), 3, time_fn=window_time_from_lengths(lengths)
         )
         expected_start = 0
@@ -70,18 +101,18 @@ class TestBasicPartitioning:
     def test_times_match_time_fn(self):
         lengths = [10, 20, 500, 30]
         time_fn = window_time_from_lengths(lengths)
-        solution = solve_partition(4, 3, time_fn=time_fn)
+        solution = solve_from_fns(4, 3, time_fn=time_fn)
         for (start, end), recorded in zip(solution.boundaries, solution.times):
             assert recorded == pytest.approx(time_fn(start, end))
 
     def test_objective_consistent_with_partition(self):
         lengths = [10, 20, 500, 30, 40]
-        solution = solve_partition(5, 4, time_fn=window_time_from_lengths(lengths))
+        solution = solve_from_fns(5, 4, time_fn=window_time_from_lengths(lengths))
         expected = 3 * solution.max_time + solution.total_time
         assert solution.objective == pytest.approx(expected)
 
     def test_metadata_populated(self):
-        solution = solve_partition(6, 2, time_fn=window_time_from_lengths([10] * 6))
+        solution = solve_from_fns(6, 2, time_fn=window_time_from_lengths([10] * 6))
         assert solution.candidates_evaluated >= 1
         assert solution.cost_evaluations > 0
         assert solution.tmax_used >= solution.max_time - 1e-9
@@ -101,7 +132,7 @@ class TestOptimality:
     @pytest.mark.parametrize("num_stages", [1, 2, 4])
     def test_matches_brute_force(self, lengths, num_stages):
         """With enough t_max candidates the DP matches exhaustive search."""
-        solution = solve_partition(
+        solution = solve_from_fns(
             len(lengths),
             num_stages,
             time_fn=window_time_from_lengths(lengths),
@@ -115,10 +146,10 @@ class TestOptimality:
         """A small Σ-weight (many data-parallel replicas) favours more, smaller
         micro-batches because the max-term dominates."""
         lengths = [100] * 12
-        heavy_sum = solve_partition(
+        heavy_sum = solve_from_fns(
             12, 8, time_fn=window_time_from_lengths(lengths), sum_weight=1.0
         )
-        light_sum = solve_partition(
+        light_sum = solve_from_fns(
             12, 8, time_fn=window_time_from_lengths(lengths), sum_weight=1.0 / 8
         )
         assert light_sum.num_microbatches >= heavy_sum.num_microbatches
@@ -127,8 +158,8 @@ class TestOptimality:
         """With more stages the (c-1)*max term grows, so the largest
         micro-batch shrinks (or stays the same)."""
         lengths = [50, 60, 70, 80, 500, 90, 100, 110]
-        few = solve_partition(8, 2, time_fn=window_time_from_lengths(lengths))
-        many = solve_partition(8, 16, time_fn=window_time_from_lengths(lengths))
+        few = solve_from_fns(8, 2, time_fn=window_time_from_lengths(lengths))
+        many = solve_from_fns(8, 16, time_fn=window_time_from_lengths(lengths))
         assert many.max_time <= few.max_time + 1e-9
 
 
@@ -139,21 +170,21 @@ class TestConstraints:
         def feasible(start: int, end: int) -> bool:
             return (end - start) <= 3  # at most 3 samples per micro-batch
 
-        solution = solve_partition(
+        solution = solve_from_fns(
             10, 2, time_fn=window_time_from_lengths(lengths), feasible_fn=feasible
         )
         assert all(end - start <= 3 for start, end in solution.boundaries)
 
     def test_max_microbatch_size_respected(self):
         lengths = [10] * 20
-        solution = solve_partition(
+        solution = solve_from_fns(
             20, 1, time_fn=window_time_from_lengths(lengths), max_microbatch_size=4
         )
         assert all(end - start <= 4 for start, end in solution.boundaries)
 
     def test_infeasible_singleton_raises(self):
         with pytest.raises(PartitionError):
-            solve_partition(
+            solve_from_fns(
                 3,
                 2,
                 time_fn=window_time_from_lengths([10, 10, 10]),
@@ -161,47 +192,33 @@ class TestConstraints:
             )
 
     def test_invalid_arguments(self):
-        time_fn = window_time_from_lengths([1])
+        table = table_from_fns(1, 1, window_time_from_lengths([1]))
         with pytest.raises(ValueError):
-            solve_partition(0, 1, time_fn=time_fn)
+            solve_partition(0, 1, cost_table=table)
         with pytest.raises(ValueError):
-            solve_partition(1, 0, time_fn=time_fn)
+            solve_partition(1, 0, cost_table=table)
         with pytest.raises(ValueError):
-            solve_partition(1, 1, time_fn=time_fn, sum_weight=0.0)
+            solve_partition(1, 1, cost_table=table, sum_weight=0.0)
         with pytest.raises(ValueError):
-            solve_partition(1, 1, time_fn=time_fn, max_microbatch_size=0)
-
-
-def table_from_fns(num_samples, max_window, time_fn, feasible_fn=None):
-    """Dense WindowCostTable built by evaluating the scalar callbacks."""
-    window = min(max_window, num_samples)
-    times = np.full((num_samples, window), np.inf)
-    feasible = np.zeros((num_samples, window), dtype=bool)
-    for start in range(num_samples):
-        for size in range(1, min(window, num_samples - start) + 1):
-            times[start, size - 1] = time_fn(start, start + size)
-            feasible[start, size - 1] = (
-                feasible_fn(start, start + size) if feasible_fn else True
-            )
-    return WindowCostTable(
-        times=times, feasible=feasible, unique_shape_evaluations=num_samples * window
-    )
+            solve_partition(1, 1, cost_table=table, max_microbatch_size=0)
 
 
 class TestTmaxSampleGuard:
     def test_single_candidate_count(self):
         """tmax_sample_count=1 must not divide by zero when thinning (the
-        probe set is larger than one candidate for diverse lengths)."""
+        probe set is larger than one candidate for diverse lengths), and
+        picks the same single candidate as the scalar oracle."""
         lengths = [10, 25, 40, 700, 90, 1000, 15, 300, 55, 80, 120, 650]
-        solution = solve_partition(
-            len(lengths),
-            4,
-            time_fn=window_time_from_lengths(lengths),
-            tmax_sample_count=1,
-        )
+        time_fn = window_time_from_lengths(lengths)
+        solution = solve_from_fns(len(lengths), 4, time_fn=time_fn, tmax_sample_count=1)
         assert solution.candidates_evaluated == 1
         assert solution.boundaries[0][0] == 0
         assert solution.boundaries[-1][1] == len(lengths)
+        scalar = oracle.solve_partition_scalar(
+            len(lengths), 4, time_fn=time_fn, tmax_sample_count=1
+        )
+        assert solution.tmax_used == scalar.tmax_used
+        assert solution.boundaries == scalar.boundaries
 
     def test_single_candidate_count_table_path(self):
         lengths = [10, 25, 40, 700, 90, 1000, 15, 300, 55, 80, 120, 650]
@@ -214,7 +231,7 @@ class TestTmaxSampleGuard:
 
 
 class TestVectorizedTablePath:
-    """The dense-table fast path must reproduce the scalar path exactly."""
+    """The table path must reproduce the scalar oracle exactly."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("num_stages", [1, 4])
@@ -228,7 +245,7 @@ class TestVectorizedTablePath:
             # Monotone in window size (mirrors the activation-memory limit).
             return (end - start) * max(lengths[start:end]) <= 4096
 
-        scalar = solve_partition(
+        scalar = oracle.solve_partition_scalar(
             len(lengths), num_stages, time_fn=time_fn, feasible_fn=feasible_fn,
             tmax_sample_count=16,
         )
@@ -263,7 +280,7 @@ class TestVectorizedTablePath:
             solve_partition(8, 2, cost_table=table, max_microbatch_size=8)
 
     def test_missing_time_source_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             solve_partition(4, 2)
 
 
@@ -278,7 +295,7 @@ class TestProperties:
         whose objective is at least as good as the two trivial partitions
         (all singletons; one big micro-batch)."""
         time_fn = window_time_from_lengths(lengths)
-        solution = solve_partition(
+        solution = solve_from_fns(
             len(lengths), num_stages, time_fn=time_fn, tmax_sample_count=64
         )
         # Contiguous cover.

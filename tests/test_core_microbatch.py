@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles.dp_solver import scalar_split
 from repro.batching.metrics import padding_stats
 from repro.batching.packing import PackingBatching
 from repro.batching.token_based import TokenBasedBatching
@@ -172,17 +173,16 @@ class TestSlidingWindowMaxima:
 
 
 class TestVectorizedEquivalence:
-    """The window-table fast path must reproduce the scalar DP exactly."""
+    """The window-table path must reproduce the scalar oracle DP exactly."""
 
     def _compare(self, cost_model, samples, **kwargs):
-        fast = DynamicMicroBatcher(cost_model, vectorized=True, **kwargs)
-        slow = DynamicMicroBatcher(cost_model, vectorized=False, **kwargs)
+        fast = DynamicMicroBatcher(cost_model, **kwargs)
         fast_result = fast.split(samples)
-        slow_result = slow.split(samples)
-        assert fast.last_solution.boundaries == slow.last_solution.boundaries
-        assert fast.last_solution.times == slow.last_solution.times
-        assert fast.last_solution.objective == slow.last_solution.objective
-        assert fast.last_solution.tmax_used == slow.last_solution.tmax_used
+        slow_result, slow_solution = scalar_split(DynamicMicroBatcher(cost_model, **kwargs), samples)
+        assert fast.last_solution.boundaries == slow_solution.boundaries
+        assert fast.last_solution.times == slow_solution.times
+        assert fast.last_solution.objective == slow_solution.objective
+        assert fast.last_solution.tmax_used == slow_solution.tmax_used
         fast_shapes = [mb.shape() for mb in fast_result.micro_batches]
         slow_shapes = [mb.shape() for mb in slow_result.micro_batches]
         assert fast_shapes == slow_shapes

@@ -84,3 +84,16 @@ class TestClusterAndOrder:
             [1.0, 10.0, 20.0], score_fn=lambda order: float(sum(order)), num_clusters=3
         )
         assert result.evaluated == 6
+
+    @pytest.mark.parametrize("times", [[1.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_limits_below_one_rejected(self, times):
+        with pytest.raises(ValueError, match="max_permutations"):
+            cluster_and_order(times, lambda order: 0.0, max_permutations=0)
+        with pytest.raises(ValueError, match="num_clusters"):
+            cluster_and_order(times, lambda order: 0.0, num_clusters=0)
+
+    def test_no_finite_permutation_keeps_input_order(self):
+        result = cluster_and_order([1.0, 2.0, 3.0, 4.0], lambda order: float("inf"))
+        assert result.order == [0, 1, 2, 3]
+        assert result.makespan_ms == float("inf")
+        assert result.evaluated == 6

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.comm.deadlock import check_comm_order
+from repro.core import planner as planner_module
+from repro.core.microbatch_ordering import cluster_and_order
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.core.recomputation import OutOfMemoryError
 from repro.core.adaptive_schedule import ScheduleKind
@@ -116,6 +118,40 @@ class TestConfiguration:
         if len(replica.micro_batches) > 1:
             assert replica.ordering_search is not None
             assert replica.ordering_search.evaluated >= 1
+
+    @pytest.mark.parametrize(
+        "field", ["max_order_permutations", "num_time_clusters"]
+    )
+    def test_order_search_limits_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            PlannerConfig(**{field: 0})
+        with pytest.raises(ValueError, match=field):
+            PlannerConfig.from_dict(dict(PlannerConfig().to_dict(), **{field: -1}))
+
+    def test_no_finite_permutation_keeps_injection_order(
+        self, monkeypatch, gpt_cost_model, flan_samples_gpt
+    ):
+        """When every cluster permutation scores inf, the planner keeps the
+        injection order whose build it already verified."""
+        samples = flan_samples_gpt[:60]
+        reference = DynaPipePlanner(
+            gpt_cost_model, config=PlannerConfig(order_search=False, tmax_sample_count=8)
+        ).plan(samples)
+
+        def all_infeasible(times, score_fn, **kwargs):
+            return cluster_and_order(times, lambda order: float("inf"), **kwargs)
+
+        monkeypatch.setattr(planner_module, "cluster_and_order", all_infeasible)
+        planner = DynaPipePlanner(
+            gpt_cost_model, config=PlannerConfig(order_search=True, tmax_sample_count=8)
+        )
+        plan = planner.plan(samples)
+        assert len(plan.replicas[0].micro_batches) > 1
+        search = plan.replicas[0].ordering_search
+        assert search.order == list(range(len(plan.replicas[0].micro_batches)))
+        assert search.makespan_ms == float("inf")
+        assert plan.plans[0].device_instructions == reference.plans[0].device_instructions
+        assert plan.predicted_iteration_ms == reference.predicted_iteration_ms
 
     def test_1f1b_schedule_kind(self, gpt_cost_model, flan_samples_gpt):
         planner = DynaPipePlanner(
