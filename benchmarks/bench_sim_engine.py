@@ -1,6 +1,6 @@
 """Tier-2 benchmark of the data-oriented simulation engine.
 
-Two measurements, mirroring where the simulator dominates:
+Three measurements, mirroring where the simulator dominates:
 
 * **Fig. 7-style re-simulation sweep** — the schedule-robustness figures
   re-simulate a fixed schedule under dozens of perturbed duration tables.
@@ -12,10 +12,17 @@ Two measurements, mirroring where the simulator dominates:
 * **Fig. 16-style order search** — the planner's injection-order search
   scores permutations of one replica's micro-batches.  Three variants are
   timed: the seed's path (rebuild the schedule + scalar simulation per
-  permutation), the rebuild path on the vectorized engine, and the
-  incremental scorer (geometry compiled once, array re-solves per
-  permutation).  All three must select the same order with the same
-  makespan.
+  permutation), the rebuild path on the vectorized engine (both kept in
+  ``tests/oracles/order_search.py``), and the planner's replica timeline
+  (candidates grouped by slot geometry, one batched solve per group).  All
+  three must select the same order with the same makespan.
+
+* **Replica plan** — everything the planner does per replica after the DP
+  split: verify the given injection order, search, finalise the chosen
+  order.  The oracle rebuilds and re-simulates for each step; the replica
+  timeline solves the given order once, the candidates in batches, and
+  finalises from the solved row.  Search result, schedule and simulation
+  (makespan, busy, idle, peaks, op times) are asserted equal.
 
 Run with ``pytest benchmarks/bench_sim_engine.py --benchmark-disable -s``
 (or ``pytest benchmarks/ -m tier2_bench``).  Set ``REPRO_BENCH_SMOKE=1``
@@ -27,12 +34,13 @@ the full run.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.comm.shapes import TransferShapes
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.costmodel.cost_model import CostModel
 from repro.model.config import ModelArch, ModelConfig
@@ -43,6 +51,9 @@ from repro.schedule.one_f_one_b import one_f_one_b_schedule
 from repro.simulator.engine import compile_schedule, simulate_schedule_scalar
 
 from common import emit
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.order_search import RebuildingPlanner, replica_plan, replica_search  # noqa: E402
 
 #: Reduced workload + relaxed timing asserts (used as a tier-1 smoke check).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
@@ -160,68 +171,93 @@ def _order_search_shapes() -> list[MicroBatchShape]:
     ]
 
 
+def _timed(fn, warm: bool = True):
+    """``(result, best seconds)`` of ``fn`` over ``ORDER_SEARCH_REPEATS`` runs."""
+    if warm:
+        fn()  # warm the cost-model caches so only the replica path is timed
+    best = float("inf")
+    result = None
+    for _ in range(ORDER_SEARCH_REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def _with_engine(engine: str | None, fn):
+    """Run ``fn`` with ``REPRO_SIM_ENGINE`` set to ``engine`` (``None``: unset)."""
+    previous = os.environ.pop("REPRO_SIM_ENGINE", None)
+    if engine is not None:
+        os.environ["REPRO_SIM_ENGINE"] = engine
+    try:
+        return fn()
+    finally:
+        os.environ.pop("REPRO_SIM_ENGINE", None)
+        if previous is not None:
+            os.environ["REPRO_SIM_ENGINE"] = previous
+
+
+def _assert_same_replica_plan(expected, actual) -> None:
+    (search_a, schedule_a, sim_a), (search_b, schedule_b, sim_b) = expected, actual
+    assert search_a.order == search_b.order
+    assert search_a.makespan_ms == search_b.makespan_ms
+    assert search_a.evaluated == search_b.evaluated
+    assert schedule_a == schedule_b
+    assert sim_a.makespan_ms == sim_b.makespan_ms
+    assert sim_a.device_busy_ms == sim_b.device_busy_ms
+    assert sim_a.device_idle_ms == sim_b.device_idle_ms
+    assert sim_a.peak_activation_bytes == sim_b.peak_activation_bytes
+    assert sim_a.op_times == sim_b.op_times
+
+
 def run_order_search() -> list[list]:
     cost_model = CostModel(
         BENCH_CONFIG, num_stages=4, max_profile_batch_size=128, max_profile_seq_len=2048
     )
-    planner = DynaPipePlanner(
-        cost_model,
-        config=PlannerConfig(
-            order_search=True, num_time_clusters=4, max_order_permutations=24
-        ),
-    )
+    config = PlannerConfig(order_search=True, num_time_clusters=4, max_order_permutations=24)
+    planner = DynaPipePlanner(cost_model, config=config)
+    rebuilding = RebuildingPlanner(cost_model, config=config)
     shapes = _order_search_shapes()
-    transfer_shapes = TransferShapes.from_cost_model(cost_model, shapes)
     mode = RecomputeMode.NONE
 
-    def timed_search(incremental: bool, engine: str | None):
-        planner.config.incremental_order_search = incremental
-        previous = os.environ.pop("REPRO_SIM_ENGINE", None)
-        if engine is not None:
-            os.environ["REPRO_SIM_ENGINE"] = engine
-        try:
-            # Warm the cost-model caches so only scoring is timed.
-            planner._search_injection_order(shapes, mode, transfer_shapes)
-            best = float("inf")
-            result = None
-            for _ in range(ORDER_SEARCH_REPEATS):
-                start = time.perf_counter()
-                result = planner._search_injection_order(shapes, mode, transfer_shapes)
-                best = min(best, time.perf_counter() - start)
-            return result, best
-        finally:
-            if engine is not None:
-                del os.environ["REPRO_SIM_ENGINE"]
-            if previous is not None:
-                os.environ["REPRO_SIM_ENGINE"] = previous
-
-    seed_result, seed_s = timed_search(incremental=False, engine="scalar")
-    rebuild_result, rebuild_s = timed_search(incremental=False, engine=None)
-    incremental_result, incremental_s = timed_search(incremental=True, engine=None)
-
-    assert incremental_result.order == seed_result.order == rebuild_result.order
-    assert (
-        incremental_result.makespan_ms
-        == seed_result.makespan_ms
-        == rebuild_result.makespan_ms
+    # Order search alone: the seed's path (rebuild + scalar engine), the
+    # rebuild path on the vectorized engine, and the replica timeline.
+    seed_result, seed_s = _with_engine(
+        "scalar", lambda: _timed(lambda: replica_search(rebuilding, shapes, mode))
     )
-    assert incremental_result.geometry_compiles is not None
-    assert incremental_result.geometry_compiles < incremental_result.timeline_solves
+    rebuild_result, rebuild_s = _with_engine(
+        None, lambda: _timed(lambda: replica_search(rebuilding, shapes, mode))
+    )
+    search_result, search_s = _timed(lambda: replica_search(planner, shapes, mode))
+    assert search_result.order == seed_result.order == rebuild_result.order
+    assert search_result.makespan_ms == seed_result.makespan_ms == rebuild_result.makespan_ms
+    assert search_result.geometry_compiles is not None
+    assert search_result.geometry_compiles < search_result.timeline_solves
 
-    def row(variant: str, elapsed: float) -> list:
+    # The whole replica path the planner runs: verify the given order,
+    # search, finalise the chosen order (rebuilt vs from the solved row).
+    oracle_plan, oracle_s = _with_engine(
+        None, lambda: _timed(lambda: replica_plan(rebuilding, shapes, mode))
+    )
+    new_plan, new_s = _timed(lambda: replica_plan(planner, shapes, mode))
+    _assert_same_replica_plan(oracle_plan, new_plan)
+
+    def row(variant: str, solves: int, baseline_s: float, compiled_s: float) -> list:
         return [
-            f"fig16/order-search/{variant}",
+            variant,
             cost_model.num_stages,
             ORDER_SEARCH_MICROBATCHES,
-            incremental_result.evaluated,
-            round(elapsed, 4),
-            round(incremental_s, 4),
-            round(elapsed / incremental_s if incremental_s > 0 else float("inf"), 1),
+            solves,
+            round(baseline_s, 4),
+            round(compiled_s, 4),
+            round(baseline_s / compiled_s if compiled_s > 0 else float("inf"), 1),
         ]
 
     return [
-        row("seed-rebuild-scalar", seed_s),
-        row("rebuild-vector", rebuild_s),
+        row("fig16/order-search/seed-rebuild-scalar", search_result.evaluated, seed_s, search_s),
+        row("fig16/order-search/rebuild-vector", search_result.evaluated, rebuild_s, search_s),
+        # verify + search + finalise: one solve, the search's solves, none.
+        row("replica-plan/rebuild-vs-timeline", 1 + search_result.timeline_solves, oracle_s, new_s),
     ]
 
 

@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -40,6 +43,18 @@ class LinkSpec:
     def transfer_time_ms(self, nbytes: float) -> float:
         """Time to move ``nbytes`` across this link, in milliseconds."""
         check_non_negative("nbytes", nbytes)
+        return self.latency_ms + nbytes / self.bandwidth * 1e3
+
+    def transfer_times_ms(self, nbytes: ArrayLike) -> np.ndarray:
+        """Element-wise :meth:`transfer_time_ms` over an array of byte counts.
+
+        The same float operations in the same order, so each element is
+        bit-identical to the scalar call.
+        """
+        nbytes = np.asarray(nbytes, dtype=np.float64)
+        negative = nbytes < 0
+        if negative.any():
+            check_non_negative("nbytes", float(nbytes[negative][0]))
         return self.latency_ms + nbytes / self.bandwidth * 1e3
 
 

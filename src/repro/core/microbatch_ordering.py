@@ -5,18 +5,22 @@ throughput when their execution times differ.  Modelling this exactly is
 intractable, so the paper clusters micro-batches by predicted execution
 time, permutes the *cluster order* (a small factorial search — 3 or 4
 clusters suffice), and keeps the order with the lowest simulated makespan.
+The candidate orders are scored together in one call, so a scorer can share
+work between them (the planner solves every candidate that has the same
+schedule geometry in one batched timeline solve).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Callable, Sequence
 
 import numpy as np
 
-#: Scores an injection order (permutation of micro-batch indices) -> makespan.
-OrderScoreFn = Callable[[Sequence[int]], float]
+#: Scores candidate injection orders (permutations of micro-batch indices):
+#: one makespan per order, in order (lower is better).
+OrderBatchScoreFn = Callable[[list[list[int]]], Sequence[float]]
 
 
 @dataclass
@@ -28,10 +32,10 @@ class OrderingSearchResult:
         makespan_ms: Simulated makespan of the selected order.
         evaluated: Number of candidate orders scored.
         cluster_sizes: Sizes of the execution-time clusters used.
-        geometry_compiles: Distinct schedule geometries compiled during the
-            search (incremental scoring only; ``None`` on the legacy path).
-        timeline_solves: Timeline solves performed during the search
-            (incremental scoring only; ``None`` on the legacy path).
+        geometry_compiles: Distinct schedule geometries the search solved on
+            (set by the planner; ``None`` when the scorer does not report it).
+        timeline_solves: Candidate orders the search solved on the timeline
+            (set by the planner; ``None`` when the scorer does not report it).
     """
 
     order: list[int]
@@ -69,7 +73,7 @@ def cluster_by_time(times: Sequence[float], num_clusters: int) -> list[list[int]
 
 def cluster_and_order(
     times: Sequence[float],
-    score_fn: OrderScoreFn,
+    score_orders: OrderBatchScoreFn,
     num_clusters: int = 3,
     max_permutations: int = 24,
 ) -> OrderingSearchResult:
@@ -77,20 +81,21 @@ def cluster_and_order(
 
     Args:
         times: Predicted execution time of each micro-batch.
-        score_fn: Callback scoring a full injection order (lower is better);
-            typically a simulation of the adaptive schedule.
+        score_orders: Scores every candidate injection order in one call
+            (lower is better); typically a simulation of the adaptive schedule.
         num_clusters: Number of execution-time clusters (3–4 per the paper).
         max_permutations: Safety cap on the number of permutations evaluated.
 
     Returns:
-        The best order found together with search statistics.  When no
-        permutation scores finite (e.g. every one exceeds device memory),
+        The first best-scoring order together with search statistics.  When
+        no permutation scores finite (e.g. every one exceeds device memory),
         the order is the input order ``0..n-1`` and ``makespan_ms`` is
         ``inf``.
 
     Raises:
-        ValueError: If ``times`` is empty or ``num_clusters`` or
-            ``max_permutations`` is below 1.
+        ValueError: If ``times`` is empty, ``num_clusters`` or
+            ``max_permutations`` is below 1, or the scorer returns a number
+            of scores other than one per candidate.
     """
     n = len(times)
     if n == 0:
@@ -100,26 +105,28 @@ def cluster_and_order(
     if max_permutations < 1:
         raise ValueError(f"max_permutations must be >= 1, got {max_permutations}")
     if n == 1:
-        return OrderingSearchResult(order=[0], makespan_ms=score_fn([0]), evaluated=1, cluster_sizes=[1])
-
-    clusters = cluster_by_time(times, num_clusters)
+        clusters = [[0]]
+        candidates = [[0]]
+    else:
+        clusters = cluster_by_time(times, num_clusters)
+        candidates = [
+            [index for cluster_index in permutation for index in clusters[cluster_index]]
+            for permutation in islice(permutations(range(len(clusters))), max_permutations)
+        ]
+    scores = list(score_orders(candidates))
+    if len(scores) != len(candidates):
+        raise ValueError(
+            f"score_orders returned {len(scores)} scores for {len(candidates)} orders"
+        )
     best_order = list(range(n))
     best_score = float("inf")
-    evaluated = 0
-    for permutation in permutations(range(len(clusters))):
-        if evaluated >= max_permutations:
-            break
-        candidate: list[int] = []
-        for cluster_index in permutation:
-            candidate.extend(clusters[cluster_index])
-        score = score_fn(candidate)
-        evaluated += 1
+    for candidate, score in zip(candidates, scores):
         if score < best_score:
             best_score = score
             best_order = candidate
     return OrderingSearchResult(
         order=best_order,
         makespan_ms=best_score,
-        evaluated=evaluated,
+        evaluated=len(candidates),
         cluster_sizes=[len(cluster) for cluster in clusters],
     )

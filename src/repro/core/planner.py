@@ -12,11 +12,19 @@ one execution plan per data-parallel replica:
    re-running partitioning under heavier modes if necessary;
 4. search micro-batch injection orders by clustering predicted execution
    times and permuting the clusters (§5);
-5. build the memory-aware adaptive schedule (§5, Alg. 1), simulate its
-   timeline, and plan all communication ahead of time (§6);
+5. take the chosen order's memory-aware adaptive schedule (§5, Alg. 1) and
+   timeline and plan all communication ahead of time (§6);
 6. emit per-device instruction streams together with the planner's
    predictions (iteration time, peak memory) for later comparison against
    the "measured" execution.
+
+Steps 3–5 run on one replica timeline per replica
+(:class:`~repro.simulator.incremental.IncrementalOrderSimulator`): its
+duration, transfer-time and activation matrices are built once, the given
+injection order is verified (deadlock and memory) with one solve, all
+candidate orders of the search are solved in one batched solve per distinct
+schedule geometry, and the chosen order's schedule and timeline come from
+its already solved row.
 """
 
 from __future__ import annotations
@@ -47,7 +55,9 @@ from repro.obs.registry import REGISTRY
 from repro.obs.spans import span as _span
 from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import ScheduleDeadlockError
-from repro.simulator.engine import SimulationResult, simulate_schedule
+from repro.schedule.one_f_one_b import one_f_one_b_stage_sequences
+from repro.simulator.engine import SimulationResult
+from repro.simulator.engine import simulate_schedule  # noqa: F401 - perfbench wraps this name
 from repro.simulator.incremental import IncrementalOrderSimulator
 
 #: Registry-backed planner counters (``planner.*`` in metric snapshots).
@@ -79,11 +89,6 @@ class PlannerConfig:
             iteration; when False, ``recompute`` is used unconditionally.
         recompute: Recomputation mode used when ``dynamic_recompute`` is off.
         order_search: Whether to search micro-batch injection orders.
-        incremental_order_search: Score permutations with the incremental
-            simulator (compile the schedule geometry once, re-solve only the
-            duration/order deltas) instead of rebuilding the full schedule
-            and timeline per permutation.  Scores are bit-identical either
-            way; this knob exists for A/B timing and as an escape hatch.
         num_time_clusters: Number of execution-time clusters for the order
             search (3–4 per the paper); at least 1.
         max_order_permutations: Cap on evaluated cluster permutations; at
@@ -106,7 +111,6 @@ class PlannerConfig:
     dynamic_recompute: bool = True
     recompute: RecomputeMode = RecomputeMode.NONE
     order_search: bool = True
-    incremental_order_search: bool = True
     num_time_clusters: int = 3
     max_order_permutations: int = 24
     tmax_sample_count: int = 24
@@ -306,19 +310,6 @@ class DynaPipePlanner:
             fraction = 1.0 / self.cost_model.num_stages
         return budget * fraction
 
-    def _comm_time_fn(self, transfer_shapes: TransferShapes):
-        """Inter-stage transfer time callback for the timeline simulation."""
-        same_node = self.config.stages_same_node
-
-        def comm_time(microbatch: int, src: int, dst: int, is_gradient: bool) -> float:
-            if is_gradient:
-                nbytes = transfer_shapes.grad_bytes(microbatch, src)
-            else:
-                nbytes = transfer_shapes.act_bytes(microbatch, src)
-            return self.network.p2p_time_ms(nbytes, same_node=same_node)
-
-        return comm_time
-
     def data_parallel_comm_ms(self) -> float:
         """Gradient all-reduce time across data-parallel replicas."""
         if self.data_parallel_size == 1:
@@ -340,38 +331,6 @@ class DynaPipePlanner:
         result, solution = self._batcher.split_with_solution(samples, recompute=mode)
         assert solution is not None
         return result.micro_batches, solution
-
-    def _schedule_replica(
-        self,
-        shapes: Sequence[MicroBatchShape],
-        mode: RecomputeMode,
-        transfer_shapes: TransferShapes,
-        injection_order: Sequence[int] | None = None,
-    ):
-        """Build + simulate the configured schedule for one replica."""
-        build = self.scheduler.build(
-            shapes,
-            kind=self.config.schedule_kind,
-            recompute=mode,
-            injection_order=injection_order,
-        )
-        static = [
-            self.cost_model.stage_static_bytes(j) for j in range(self.cost_model.num_stages)
-        ]
-        simulation = simulate_schedule(
-            build.schedule,
-            build.durations,
-            comm_time_fn=self._comm_time_fn(transfer_shapes),
-            activation_bytes=build.activation_bytes,
-            static_bytes=static,
-        )
-        return build, simulation
-
-    def _replica_feasible(self, simulation: SimulationResult) -> bool:
-        return all(
-            peak <= self.device_memory_bytes * (1.0 + 1e-9)
-            for peak in simulation.peak_activation_bytes
-        )
 
     # ------------------------------------------------------------------ planning
 
@@ -400,48 +359,45 @@ class DynaPipePlanner:
                 failures[mode] = str(exc)
                 continue
             # Balance across data-parallel replicas.
-            times = [
-                float(t)
-                for t in self.cost_model.microbatch_times_ms(
-                    [mb.shape() for mb in micro_batches], mode
-                )
-            ]
+            all_shapes = [mb.shape() for mb in micro_batches]
+            times = [float(t) for t in self.cost_model.microbatch_times_ms(all_shapes, mode)]
             assignment = karmarkar_karp_partition(times, self.data_parallel_size)
-            replica_groups = [
-                [micro_batches[i] for i in group] for group in assignment.groups
-            ]
+            replica_groups = assignment.groups
             # Every replica must hold at least one micro-batch to keep the
             # pipeline (and gradient synchronisation) well formed.
             if any(not group for group in replica_groups) and len(micro_batches) >= self.data_parallel_size:
-                replica_groups = self._rebalance_nonempty(micro_batches, times)
+                replica_groups = self._rebalance_nonempty(times)
             if any(not group for group in replica_groups):
                 failures[mode] = (
                     f"only {len(micro_batches)} micro-batches for "
                     f"{self.data_parallel_size} data-parallel replicas"
                 )
                 continue
-            # Schedule + simulate each replica to verify memory feasibility.
-            replica_results = []
+            # Verify each replica's injection order (deadlock and memory) on
+            # its replica timeline.
+            replica_timelines = []
             feasible = True
-            for group in replica_groups:
-                shapes = [mb.shape() for mb in group]
+            for indices in replica_groups:
+                group = [micro_batches[i] for i in indices]
+                shapes = [all_shapes[i] for i in indices]
                 transfer_shapes = TransferShapes.from_cost_model(self.cost_model, shapes)
+                timeline = self._replica_timeline(shapes, mode, transfer_shapes)
                 try:
-                    build, simulation = self._schedule_replica(shapes, mode, transfer_shapes)
+                    verified = timeline.solve(range(len(shapes)))
                 except ScheduleDeadlockError as exc:
                     failures[mode] = f"unschedulable: {exc}"
                     feasible = False
                     break
-                if not self._replica_feasible(simulation):
+                if not verified.feasible:
                     failures[mode] = (
-                        f"peak memory {max(simulation.peak_activation_bytes) / 1e9:.2f} GB "
+                        f"peak memory {max(verified.peak_activation_bytes) / 1e9:.2f} GB "
                         f"exceeds capacity {self.device_memory_bytes / 1e9:.2f} GB"
                     )
                     feasible = False
                     break
-                replica_results.append((group, shapes, transfer_shapes, build, simulation))
+                replica_timelines.append((group, shapes, transfer_shapes, timeline))
             if feasible:
-                chosen = (mode, micro_batches, solution, replica_results)
+                chosen = (mode, micro_batches, solution, replica_timelines)
                 break
         if chosen is None:
             raise OutOfMemoryError(
@@ -449,22 +405,21 @@ class DynaPipePlanner:
                 + "; ".join(f"{mode.value}: {reason}" for mode, reason in failures.items())
             )
 
-        mode, micro_batches, solution, replica_results = chosen
+        mode, micro_batches, solution, replica_timelines = chosen
         replicas: list[ReplicaPlanResult] = []
-        for replica_index, (group, shapes, transfer_shapes, build, simulation) in enumerate(
-            replica_results
+        for replica_index, (group, shapes, transfer_shapes, timeline) in enumerate(
+            replica_timelines
         ):
             ordering_result = None
+            order = list(range(len(shapes)))
             if self.config.order_search and len(shapes) > 1:
-                ordering_result = self._search_injection_order(shapes, mode, transfer_shapes)
+                ordering_result = self._search_injection_order(timeline, shapes, mode)
                 # A search with no finite permutation returns the input order,
-                # whose build was verified above.
-                if ordering_result.order != list(range(len(shapes))):
-                    build, simulation = self._schedule_replica(
-                        shapes, mode, transfer_shapes, injection_order=ordering_result.order
-                    )
+                # which was verified above.
+                order = ordering_result.order
+            schedule, simulation = timeline.finalise(order)
             streams = build_instruction_streams(
-                build.schedule,
+                schedule,
                 simulation.op_times,
                 shapes,
                 transfer_shapes,
@@ -473,7 +428,7 @@ class DynaPipePlanner:
             metadata = PlanMetadata(
                 iteration=iteration,
                 replica=replica_index,
-                schedule_name=build.schedule.name,
+                schedule_name=schedule.name,
                 recompute=mode,
                 predicted_makespan_ms=simulation.makespan_ms,
                 predicted_peak_memory_bytes=list(simulation.peak_activation_bytes),
@@ -512,37 +467,39 @@ class DynaPipePlanner:
 
     # ------------------------------------------------------------------ internals
 
-    def _rebalance_nonempty(self, micro_batches, times):
+    def _rebalance_nonempty(self, times: Sequence[float]) -> list[list[int]]:
         """Fallback balancing guaranteeing every replica gets >= 1 micro-batch.
 
         Longest-processing-time greedy assignment with a non-emptiness
-        constraint; only used when Karmarkar–Karp leaves a replica empty
-        (possible when there are very few micro-batches).
+        constraint, over micro-batch indices; only used when Karmarkar–Karp
+        leaves a replica empty (possible when there are very few micro-batches).
         """
-        order = sorted(range(len(micro_batches)), key=lambda i: times[i], reverse=True)
-        groups: list[list] = [[] for _ in range(self.data_parallel_size)]
+        order = sorted(range(len(times)), key=lambda i: times[i], reverse=True)
+        groups: list[list[int]] = [[] for _ in range(self.data_parallel_size)]
         loads = [0.0] * self.data_parallel_size
         for rank, index in enumerate(order):
             if rank < self.data_parallel_size:
                 target = rank
             else:
                 target = min(range(self.data_parallel_size), key=lambda d: loads[d])
-            groups[target].append(micro_batches[index])
+            groups[target].append(index)
             loads[target] += times[index]
         return groups
 
-    def _order_search_simulator(
+    def _replica_timeline(
         self,
         shapes: Sequence[MicroBatchShape],
         mode: RecomputeMode,
         transfer_shapes: TransferShapes,
     ) -> IncrementalOrderSimulator:
-        """Build the incremental scorer's duration/comm/activation arrays.
+        """Build one replica's timeline: cost, transfer-time and activation
+        matrices plus the configured schedule kind's limits or fixed order.
 
-        All values come from the same cost-model and network queries the
-        legacy build-and-simulate path performs, so scores are bit-identical.
+        The values are those of the cost-model and network queries behind
+        :meth:`AdaptiveScheduler.build` and the per-transfer
+        :meth:`NetworkModel.p2p_time_ms`, so every solve is bit-identical to
+        building and simulating the schedule.
         """
-        shapes = list(shapes)
         num_stages = self.cost_model.num_stages
         num_microbatches = len(shapes)
         forward_ms = np.empty((num_microbatches, num_stages))
@@ -550,110 +507,59 @@ class DynaPipePlanner:
         activation = np.empty((num_microbatches, num_stages))
         for stage in range(num_stages):
             costs = self.cost_model.stage_costs_many(stage, shapes, mode)
-            for index, cost in enumerate(costs):
-                forward_ms[index, stage] = cost.forward_ms
-                backward_ms[index, stage] = cost.backward_ms
-                activation[index, stage] = cost.activation_bytes
-        same_node = self.config.stages_same_node
-        act_comm = np.zeros((num_microbatches, num_stages))
-        grad_comm = np.zeros((num_microbatches, num_stages))
-        for microbatch in range(num_microbatches):
-            for src in range(num_stages - 1):
-                act_comm[microbatch, src] = self.network.p2p_time_ms(
-                    transfer_shapes.act_bytes(microbatch, src), same_node=same_node
-                )
-            for src in range(1, num_stages):
-                grad_comm[microbatch, src] = self.network.p2p_time_ms(
-                    transfer_shapes.grad_bytes(microbatch, src), same_node=same_node
-                )
-        limits = (
-            self.scheduler.memory_limits()
-            if self.config.schedule_kind is ScheduleKind.MEMORY_AWARE_ADAPTIVE
-            else None
-        )
-        static = [
-            self.cost_model.stage_static_bytes(j) for j in range(num_stages)
-        ]
+            forward_ms[:, stage] = [cost.forward_ms for cost in costs]
+            backward_ms[:, stage] = [cost.backward_ms for cost in costs]
+            activation[:, stage] = [cost.activation_bytes for cost in costs]
+        link = self.network.link_for(self.config.stages_same_node)
+        kind = ScheduleKind(self.config.schedule_kind)
         return IncrementalOrderSimulator(
             num_stages,
             activation,
             forward_ms,
             backward_ms,
-            act_comm,
-            grad_comm,
-            memory_limits=limits,
-            static_bytes=static,
+            link.transfer_times_ms(transfer_shapes.activation_bytes),
+            link.transfer_times_ms(transfer_shapes.gradient_bytes),
+            memory_limits=(
+                self.scheduler.memory_limits()
+                if kind is ScheduleKind.MEMORY_AWARE_ADAPTIVE
+                else None
+            ),
+            static_bytes=[self.cost_model.stage_static_bytes(j) for j in range(num_stages)],
             device_memory_bytes=self.device_memory_bytes,
+            stage_sequences=(
+                one_f_one_b_stage_sequences(num_stages, num_microbatches)
+                if kind is ScheduleKind.ONE_F_ONE_B
+                else None
+            ),
+            schedule_name=kind.value,
         )
 
     def _search_injection_order(
         self,
+        timeline: IncrementalOrderSimulator,
         shapes: Sequence[MicroBatchShape],
         mode: RecomputeMode,
-        transfer_shapes: TransferShapes,
     ) -> OrderingSearchResult:
         """Cluster-permutation search over injection orders (§5).
 
-        By default permutations are scored with the incremental simulator:
-        the cyclic slot structure is derived per permutation with the lean
-        slot scheduler, the dependency DAG is compiled once per distinct
-        structure, and each candidate is a pure array re-solve.  The legacy
-        path (rebuild the full schedule + timeline per permutation) is kept
-        behind ``PlannerConfig.incremental_order_search=False`` and for the
-        1F1B schedule, which ignores the injection order.
+        Every candidate is scored on ``timeline`` in one call: candidates
+        that share a schedule geometry are solved together, and the solved
+        rows stay on ``timeline`` for :meth:`IncrementalOrderSimulator.finalise`.
         """
         times = [
             float(t) for t in self.cost_model.microbatch_times_ms(list(shapes), mode)
         ]
-        simulator: IncrementalOrderSimulator | None = None
-        if (
-            self.config.incremental_order_search
-            and self.config.schedule_kind is not ScheduleKind.ONE_F_ONE_B
-        ):
-            simulator = self._order_search_simulator(shapes, mode, transfer_shapes)
-            score = simulator.score
-        else:
-            comm_time = self._comm_time_fn(transfer_shapes)
-            static = [
-                self.cost_model.stage_static_bytes(j)
-                for j in range(self.cost_model.num_stages)
-            ]
-
-            def score(order: Sequence[int]) -> float:
-                try:
-                    build = self.scheduler.build(
-                        shapes,
-                        kind=self.config.schedule_kind,
-                        recompute=mode,
-                        injection_order=order,
-                    )
-                except ScheduleDeadlockError:
-                    return float("inf")
-                simulation = simulate_schedule(
-                    build.schedule,
-                    build.durations,
-                    comm_time_fn=comm_time,
-                    activation_bytes=build.activation_bytes,
-                    static_bytes=static,
-                )
-                if not self._replica_feasible(simulation):
-                    return float("inf")
-                return simulation.makespan_ms
-
         with _span("order_search", num_microbatches=len(times)):
             result = cluster_and_order(
                 times,
-                score,
+                timeline.score_batch,
                 num_clusters=self.config.num_time_clusters,
                 max_permutations=self.config.max_order_permutations,
             )
-        if simulator is not None:
-            result.geometry_compiles = simulator.compiles
-            result.timeline_solves = simulator.solves
+        result.geometry_compiles = timeline.compiles
+        result.timeline_solves = timeline.solves
         _PLANNER_STATS["order_searches"] += 1
         _PLANNER_STATS["order_permutations_evaluated"] += result.evaluated
-        if result.geometry_compiles is not None:
-            _PLANNER_STATS["order_geometry_compiles"] += result.geometry_compiles
-        if result.timeline_solves is not None:
-            _PLANNER_STATS["order_timeline_solves"] += result.timeline_solves
+        _PLANNER_STATS["order_geometry_compiles"] += result.geometry_compiles
+        _PLANNER_STATS["order_timeline_solves"] += result.timeline_solves
         return result

@@ -20,22 +20,42 @@ The slot-level core, :func:`cyclic_stage_sequences`, produces the per-stage
 op *order* as plain encoded integers without building
 :class:`~repro.schedule.events.ComputeOp` objects.  :func:`cyclic_schedule`
 wraps it into a full :class:`~repro.schedule.events.PipelineSchedule`; the
-incremental order search (:mod:`repro.simulator.incremental`) consumes the
+planner's replica timeline (:mod:`repro.simulator.incremental`) consumes the
 encoded form directly, so both paths share one implementation by
 construction.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Sequence
 
-from repro.schedule.events import OpType, PipelineSchedule, StageSchedule
+from repro.schedule.events import PipelineSchedule, StageSchedule
 
 
 class ScheduleDeadlockError(RuntimeError):
     """Raised when no device can make progress (e.g. a single micro-batch's
     activation exceeds a device's memory limit)."""
+
+
+def check_injection_order(order: Sequence[int], num_microbatches: int) -> list[int]:
+    """Validate ``order`` as a permutation of ``0..num_microbatches-1``.
+
+    Returns:
+        The order as a list of Python ints.
+
+    Raises:
+        ValueError: If ``order`` repeats, drops or invents a micro-batch index
+            (or holds non-integers).
+    """
+    try:
+        normalized = [operator.index(index) for index in order]
+    except TypeError:
+        normalized = None
+    if normalized is None or sorted(normalized) != list(range(num_microbatches)):
+        raise ValueError("injection_order must be a permutation of the micro-batch indices")
+    return normalized
 
 
 def cyclic_stage_sequences(
@@ -45,6 +65,10 @@ def cyclic_stage_sequences(
     injection_order: Sequence[int] | None = None,
 ) -> list[list[int]]:
     """Run Algorithm 1 and return the per-stage op order in encoded form.
+
+    This is the unchecked core: callers validate ``injection_order`` (see
+    :func:`check_injection_order`).  Rows are read as ``activation_bytes[mb][j]``,
+    so plain lists of floats are the fastest input.
 
     Args:
         num_stages: Number of pipeline stages ``C``.
@@ -68,6 +92,8 @@ def cyclic_stage_sequences(
     num_microbatches = len(activation_bytes)
     if injection_order is None:
         injection_order = range(num_microbatches)
+    limits = list(memory_limits) if memory_limits is not None else [float("inf")] * num_stages
+    last = num_stages - 1
 
     # Per-device ready buffers of forward and backward ops (micro-batch ids).
     forward_ready: list[deque[int]] = [deque() for _ in range(num_stages)]
@@ -76,54 +102,53 @@ def cyclic_stage_sequences(
     current_memory = [0.0] * num_stages
 
     sequences: list[list[int]] = [[] for _ in range(num_stages)]
+    # Every unfinished micro-batch waits in exactly one ready buffer, so the
+    # buffers drain exactly when every op has been scheduled.
     remaining_ops = 2 * num_microbatches * num_stages
 
-    while any(forward_ready[j] or backward_ready[j] for j in range(num_stages)):
-        newly_forward: list[list[int]] = [[] for _ in range(num_stages)]
-        newly_backward: list[list[int]] = [[] for _ in range(num_stages)]
+    while remaining_ops:
+        # Ops unlocked this cycle become ready only in the next one.  Each
+        # buffer receives at most one op per cycle (from its single upstream
+        # or downstream neighbour), so one flat list keeps every buffer's order.
+        unlocked: list[tuple[deque[int], int]] = []
         progressed = False
 
         for j in range(num_stages):
             # Schedule one backward op if available (frees memory first).
-            if backward_ready[j]:
-                mb = backward_ready[j].popleft()
+            backward = backward_ready[j]
+            if backward:
+                mb = backward.popleft()
                 current_memory[j] -= activation_bytes[mb][j]
                 sequences[j].append(mb << 1)
                 remaining_ops -= 1
                 progressed = True
                 if j > 0:
-                    newly_backward[j - 1].append(mb)
+                    unlocked.append((backward_ready[j - 1], mb))
 
-            # Schedule one forward op if available and memory permits.
-            if forward_ready[j]:
-                mb = forward_ready[j].popleft()
+            # Schedule one forward op if available and memory permits;
+            # otherwise it stays at the head of the buffer for a later cycle.
+            forward = forward_ready[j]
+            if forward:
+                mb = forward[0]
                 needed = activation_bytes[mb][j]
-                limit = memory_limits[j] if memory_limits is not None else float("inf")
-                if current_memory[j] + needed <= limit:
+                if current_memory[j] + needed <= limits[j]:
+                    forward.popleft()
                     current_memory[j] += needed
                     sequences[j].append((mb << 1) | 1)
                     remaining_ops -= 1
                     progressed = True
-                    if j < num_stages - 1:
-                        newly_forward[j + 1].append(mb)
-                    else:
-                        newly_backward[j].append(mb)
-                else:
-                    # Put it back at the head of the buffer and retry later.
-                    forward_ready[j].appendleft(mb)
+                    unlocked.append(
+                        (forward_ready[j + 1] if j < last else backward_ready[j], mb)
+                    )
 
-        unlocked = any(newly_forward[j] or newly_backward[j] for j in range(num_stages))
-        if not progressed and not unlocked:
+        if not progressed:
             raise ScheduleDeadlockError(
                 "cyclic scheduling cannot make progress: a micro-batch's activation "
                 "memory exceeds a stage's memory limit"
             )
+        for buffer, mb in unlocked:
+            buffer.append(mb)
 
-        for j in range(num_stages):
-            forward_ready[j].extend(newly_forward[j])
-            backward_ready[j].extend(newly_backward[j])
-
-    assert remaining_ops == 0, "cyclic scheduling terminated with unscheduled ops"
     return sequences
 
 
@@ -166,10 +191,8 @@ def cyclic_schedule(
             raise ValueError(
                 f"activation_bytes[{i}] has {len(row)} entries, expected {num_stages}"
             )
-    if injection_order is not None and sorted(injection_order) != list(
-        range(num_microbatches)
-    ):
-        raise ValueError("injection_order must be a permutation of the micro-batch indices")
+    if injection_order is not None:
+        injection_order = check_injection_order(injection_order, num_microbatches)
     if memory_limits is not None and len(memory_limits) != num_stages:
         raise ValueError(
             f"memory_limits has {len(memory_limits)} entries, expected {num_stages}"
@@ -178,12 +201,7 @@ def cyclic_schedule(
     sequences = cyclic_stage_sequences(
         num_stages, activation_bytes, memory_limits, injection_order
     )
-    stages = [StageSchedule(stage=j) for j in range(num_stages)]
-    for j, sequence in enumerate(sequences):
-        for encoded in sequence:
-            stages[j].append(
-                encoded >> 1, OpType.FORWARD if encoded & 1 else OpType.BACKWARD
-            )
+    stages = [StageSchedule.from_encoded(j, sequence) for j, sequence in enumerate(sequences)]
     return PipelineSchedule(
         stages=stages, num_microbatches=num_microbatches, name=name
     )

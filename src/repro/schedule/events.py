@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class OpType(str, enum.Enum):
@@ -43,6 +43,28 @@ class StageSchedule:
 
     stage: int
     ops: list[ComputeOp] = field(default_factory=list)
+
+    @classmethod
+    def from_encoded(
+        cls,
+        stage: int,
+        encoded: Sequence[int],
+        microbatches: Sequence[int] | None = None,
+    ) -> "StageSchedule":
+        """Build from encoded ops ``(index << 1) | is_forward``.
+
+        ``microbatches[index]`` names the micro-batch of each encoded index
+        (a slot relabelling); ``None`` means the index is the micro-batch.
+        """
+        forward, backward = OpType.FORWARD, OpType.BACKWARD
+        if microbatches is None:
+            ops = [ComputeOp(code >> 1, stage, forward if code & 1 else backward) for code in encoded]
+        else:
+            ops = [
+                ComputeOp(microbatches[code >> 1], stage, forward if code & 1 else backward)
+                for code in encoded
+            ]
+        return cls(stage=stage, ops=ops)
 
     def append(self, microbatch: int, op_type: OpType) -> None:
         """Append an op for ``microbatch`` of ``op_type`` to this stage."""

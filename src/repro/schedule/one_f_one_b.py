@@ -10,7 +10,38 @@ zero safety stock in the steady state (paper §5, Fig. 11a).
 
 from __future__ import annotations
 
-from repro.schedule.events import OpType, PipelineSchedule, StageSchedule
+from repro.schedule.events import PipelineSchedule, StageSchedule
+
+
+def one_f_one_b_stage_sequences(num_stages: int, num_microbatches: int) -> list[list[int]]:
+    """The 1F1B per-stage op order in encoded form, ``(microbatch << 1) | is_forward``.
+
+    The same encoding :func:`repro.schedule.cyclic.cyclic_stage_sequences`
+    produces; :func:`one_f_one_b_schedule` wraps it into a schedule.
+    """
+    if num_stages < 1:
+        raise ValueError(f"num_stages must be >= 1, got {num_stages}")
+    if num_microbatches < 1:
+        raise ValueError(f"num_microbatches must be >= 1, got {num_microbatches}")
+
+    sequences = []
+    for stage in range(num_stages):
+        sequence: list[int] = []
+        num_warmup = min(num_stages - 1 - stage, num_microbatches)
+        # Warm-up: forwards only.
+        next_forward = num_warmup
+        sequence.extend((mb << 1) | 1 for mb in range(num_warmup))
+        next_backward = 0
+        # Steady state: alternate 1 forward, 1 backward.
+        while next_forward < num_microbatches:
+            sequence.append((next_forward << 1) | 1)
+            next_forward += 1
+            sequence.append(next_backward << 1)
+            next_backward += 1
+        # Cool-down: drain the remaining backwards.
+        sequence.extend(mb << 1 for mb in range(next_backward, num_microbatches))
+        sequences.append(sequence)
+    return sequences
 
 
 def one_f_one_b_schedule(num_stages: int, num_microbatches: int) -> PipelineSchedule:
@@ -24,30 +55,6 @@ def one_f_one_b_schedule(num_stages: int, num_microbatches: int) -> PipelineSche
         A :class:`~repro.schedule.events.PipelineSchedule` where every stage
         executes every micro-batch's forward and backward exactly once.
     """
-    if num_stages < 1:
-        raise ValueError(f"num_stages must be >= 1, got {num_stages}")
-    if num_microbatches < 1:
-        raise ValueError(f"num_microbatches must be >= 1, got {num_microbatches}")
-
-    stages = []
-    for stage in range(num_stages):
-        schedule = StageSchedule(stage=stage)
-        num_warmup = min(num_stages - 1 - stage, num_microbatches)
-        next_forward = 0
-        next_backward = 0
-        # Warm-up: forwards only.
-        for _ in range(num_warmup):
-            schedule.append(next_forward, OpType.FORWARD)
-            next_forward += 1
-        # Steady state: alternate 1 forward, 1 backward.
-        while next_forward < num_microbatches:
-            schedule.append(next_forward, OpType.FORWARD)
-            next_forward += 1
-            schedule.append(next_backward, OpType.BACKWARD)
-            next_backward += 1
-        # Cool-down: drain the remaining backwards.
-        while next_backward < num_microbatches:
-            schedule.append(next_backward, OpType.BACKWARD)
-            next_backward += 1
-        stages.append(schedule)
+    sequences = one_f_one_b_stage_sequences(num_stages, num_microbatches)
+    stages = [StageSchedule.from_encoded(j, sequence) for j, sequence in enumerate(sequences)]
     return PipelineSchedule(stages=stages, num_microbatches=num_microbatches, name="1f1b")

@@ -217,6 +217,10 @@ class CompiledTimeline:
         self.dep = dep
         self.comm_kind = comm_kind
         self.comm_src = comm_src
+        #: Op ids whose dependency edge carries a transfer (activations or
+        #: gradients), for gathering per-op comm times from
+        #: ``[kind - 1][microbatch][comm_src]`` tables.
+        self.comm_edges = np.flatnonzero(comm_kind != COMM_NONE)
         # Same-device predecessor: previous op on the stage.
         prev = np.arange(-1, n - 1, dtype=np.int64)
         firsts = self.stage_offsets[:-1]
@@ -290,12 +294,15 @@ class CompiledTimeline:
         self.order = order
         self.inverse = inverse
         self.wave_offsets = offsets
-        dep_w = np.where(dep[order] >= 0, inverse[np.maximum(dep[order], 0)], -1)
-        prev_w = np.where(prev[order] >= 0, inverse[np.maximum(prev[order], 0)], -1)
-        self._has_dep_w = dep_w >= 0
-        self._dep_clip_w = np.maximum(dep_w, 0)
-        self._has_prev_w = prev_w >= 0
-        self._prev_clip_w = np.maximum(prev_w, 0)
+        # Wave-major dependency columns; a missing dependency points at
+        # column ``n``, which the solver keeps at 0.0 ("ready at time 0").
+        self._has_dep_w = dep[order] >= 0
+        dep_w = np.where(self._has_dep_w, inverse[np.maximum(dep[order], 0)], n)
+        prev_w = np.where(prev[order] >= 0, inverse[np.maximum(prev[order], 0)], n)
+        self._waves = [
+            (int(a), int(b), dep_w[a:b], prev_w[a:b])
+            for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+        ]
 
     # ------------------------------------------------------------------ gathers
 
@@ -342,46 +349,31 @@ class CompiledTimeline:
         Args:
             durations: Per-op durations in op-id (stage-major) order.
             comm: Optional per-op communication times added to the
-                cross-stage dependency edge (zero where the op has none).
+                cross-stage dependency edge (ignored where the op has none).
 
         Returns:
             A :class:`TimelineSolution` with starts/ends in op-id order.
         """
-        n = self.num_ops
-        d_w = np.maximum(np.asarray(durations, dtype=np.float64), 0.0)[self.order]
-        c_w = None if comm is None else np.asarray(comm, dtype=np.float64)[self.order]
-        starts_w = np.zeros(n, dtype=np.float64)
-        ends_w = np.zeros(n, dtype=np.float64)
-        offsets = self.wave_offsets
-        for w in range(len(offsets) - 1):
-            a, b = int(offsets[w]), int(offsets[w + 1])
-            dep_ready = ends_w[self._dep_clip_w[a:b]]
-            if c_w is not None:
-                dep_ready = dep_ready + c_w[a:b]
-            dep_ready = np.where(self._has_dep_w[a:b], dep_ready, 0.0)
-            prev_ready = np.where(
-                self._has_prev_w[a:b], ends_w[self._prev_clip_w[a:b]], 0.0
-            )
-            start = np.maximum(prev_ready, dep_ready)
-            starts_w[a:b] = start
-            ends_w[a:b] = start + d_w[a:b]
-        starts = np.empty(n, dtype=np.float64)
-        ends = np.empty(n, dtype=np.float64)
-        starts[self.order] = starts_w
-        ends[self.order] = ends_w
-        makespan = float(ends_w.max()) if n else 0.0
-        _STATS["timeline_solves"] += 1
-        return TimelineSolution(starts=starts, ends=ends, makespan_ms=makespan)
+        d = np.asarray(durations, dtype=np.float64)
+        batch = self.solve_batch(d[None, :], comm)
+        return TimelineSolution(
+            starts=batch.starts[0], ends=batch.ends[0], makespan_ms=float(batch.makespan_ms[0])
+        )
 
     def solve_batch(
         self, durations: np.ndarray, comm: np.ndarray | None = None
     ) -> TimelineSolution:
         """Solve many duration vectors at once.
 
+        Each wave computes ``start = max(prev_end, dep_end + comm)`` for all
+        rows and ops of the wave, with missing dependencies reading 0.0, so
+        every row is bit-identical to the scalar engine's per-op loop.
+
         Args:
             durations: ``(num_solves, num_ops)`` duration matrix.
             comm: Optional comm times, either ``(num_ops,)`` (shared) or
-                ``(num_solves, num_ops)``.
+                ``(num_solves, num_ops)``; ignored where an op has no
+                cross-stage dependency.
 
         Returns:
             A :class:`TimelineSolution` whose ``starts``/``ends`` have shape
@@ -392,27 +384,24 @@ class CompiledTimeline:
         d = np.maximum(np.asarray(durations, dtype=np.float64), 0.0)
         if d.ndim != 2:
             raise ValueError(f"expected a (num_solves, num_ops) matrix, got shape {d.shape}")
+        num_solves = d.shape[0]
         d_w = d[:, self.order]
         c_w = None
         if comm is not None:
             c = np.asarray(comm, dtype=np.float64)
-            c_w = c[self.order] if c.ndim == 1 else c[:, self.order]
-        num_solves = d_w.shape[0]
-        starts_w = np.zeros((num_solves, n), dtype=np.float64)
-        ends_w = np.zeros((num_solves, n), dtype=np.float64)
-        offsets = self.wave_offsets
-        for w in range(len(offsets) - 1):
-            a, b = int(offsets[w]), int(offsets[w + 1])
-            dep_ready = ends_w[:, self._dep_clip_w[a:b]]
+            c_w = np.where(self._has_dep_w, c[..., self.order], 0.0)
+            c_w = np.broadcast_to(c_w, (num_solves, n))
+        starts_w = np.empty((num_solves, n), dtype=np.float64)
+        # Column n stays 0.0: the ready time of a missing dependency.
+        ends_w = np.zeros((num_solves, n + 1), dtype=np.float64)
+        for a, b, dep_w, prev_w in self._waves:
+            dep_ready = ends_w[:, dep_w]
             if c_w is not None:
-                dep_ready = dep_ready + (c_w[a:b] if c_w.ndim == 1 else c_w[:, a:b])
-            dep_ready = np.where(self._has_dep_w[a:b], dep_ready, 0.0)
-            prev_ready = np.where(
-                self._has_prev_w[a:b], ends_w[:, self._prev_clip_w[a:b]], 0.0
-            )
-            start = np.maximum(prev_ready, dep_ready)
+                dep_ready += c_w[:, a:b]
+            start = np.maximum(ends_w[:, prev_w], dep_ready)
             starts_w[:, a:b] = start
-            ends_w[:, a:b] = start + d_w[:, a:b]
+            np.add(start, d_w[:, a:b], out=ends_w[:, a:b])
+        ends_w = ends_w[:, :n]
         starts = np.empty_like(starts_w)
         ends = np.empty_like(ends_w)
         starts[:, self.order] = starts_w
@@ -479,18 +468,42 @@ class CompiledTimeline:
         Returns:
             Peak bytes per device, bit-identical to the scalar tracker.
         """
-        self._check_memory_order()
         act = np.asarray(activation_bytes, dtype=np.float64)
-        peaks: list[float] = []
+        op_activation = act[self.op_microbatch, self.op_stage]
+        return self.peak_activation_batch(op_activation[None, :], static_bytes)[0]
+
+    def peak_activation_batch(
+        self,
+        op_activation: np.ndarray,
+        static_bytes: Sequence[float] | None = None,
+    ) -> list[list[float]]:
+        """Per-device peak activation memory for many activation assignments.
+
+        Args:
+            op_activation: ``(num_rows, num_ops)`` activation footprint of
+                each op's micro-batch on the op's stage, in op-id order.
+            static_bytes: Optional per-device static memory.
+
+        Returns:
+            One list of per-device peaks per row.  Each row replays the
+            tracker's running sum in op order (a sequential ``cumsum``), so
+            every row is bit-identical to a one-row call.
+        """
+        self._check_memory_order()
+        num_rows = op_activation.shape[0]
+        columns: list[list[float]] = []
         for stage in range(self.num_stages):
             a, b = int(self.stage_offsets[stage]), int(self.stage_offsets[stage + 1])
             static = float(static_bytes[stage]) if static_bytes else 0.0
-            mbs = self.op_microbatch[a:b]
             fwd = self.op_is_forward[a:b]
-            values = act[mbs, stage]
+            values = op_activation[:, a:b]
             deltas = np.where(fwd, values, -values)
-            running = np.cumsum(np.concatenate(([static], deltas)))
-            allocated = running[1:][fwd]
-            peak = float(allocated.max()) if allocated.size else static
-            peaks.append(max(static, peak))
-        return peaks
+            running = np.cumsum(
+                np.concatenate((np.full((num_rows, 1), static), deltas), axis=1), axis=1
+            )
+            allocated = running[:, 1:][:, fwd]
+            if allocated.shape[1]:
+                columns.append([max(static, peak) for peak in allocated.max(axis=1).tolist()])
+            else:
+                columns.append([static] * num_rows)
+        return [list(row) for row in zip(*columns)]

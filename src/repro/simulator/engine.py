@@ -17,9 +17,11 @@ Two engines implement this recurrence:
 * the **vectorized** engine (default) compiles the schedule into a
   :class:`~repro.simulator.compiled.CompiledTimeline` — flat numpy arrays
   plus a precomputed dependency index — and solves it wave-by-wave in
-  topological levels.  Compiled geometries are cached by schedule structure,
-  so re-simulating the same geometry (order search, fleet iterations with
-  unchanged plans) skips compilation entirely;
+  topological levels.  Compiled geometries are cached by schedule structure
+  in one thread-safe process-wide LRU, shared with the planner's replica
+  timelines (:func:`compile_stage_sequences`), so re-simulating the same
+  geometry (order search, fleet iterations with unchanged plans) skips
+  compilation entirely;
 * the **scalar** engine is the original per-op Python event loop, kept as
   the bit-identity oracle.  Select it per call (``engine="scalar"``) or
   process-wide (``REPRO_SIM_ENGINE=scalar``).
@@ -33,6 +35,7 @@ lazily from the solver arrays on first access.
 from __future__ import annotations
 
 import os
+import threading
 from collections import OrderedDict
 from typing import Callable, Mapping, Sequence
 
@@ -57,10 +60,13 @@ __all__ = [
     "SimulationError",
     "SimulationResult",
     "compile_schedule",
+    "compile_stage_sequences",
     "engine_stats",
+    "geometry_key",
     "reset_engine_stats",
     "simulate_schedule",
     "simulate_schedule_scalar",
+    "timeline_result",
 ]
 
 #: Duration provider: maps a compute op to milliseconds.
@@ -84,8 +90,9 @@ class SimulationResult:
             static memory unless the caller passes it via the tracker).
         trace: Flat execution trace for rendering / export.
 
-    ``op_times`` and ``trace`` may be built lazily from the vectorized
-    solver's arrays; all other attributes are always materialized.
+    ``op_times`` may be built lazily from the vectorized solver's arrays
+    (``materialize``), and ``trace`` lazily from ``op_times``; all other
+    attributes are always materialized.
     """
 
     def __init__(
@@ -96,17 +103,13 @@ class SimulationResult:
         device_idle_ms: list[float] | None = None,
         peak_activation_bytes: list[float] | None = None,
         trace: ExecutionTrace | None = None,
-        materialize: Callable[[], tuple[dict[ComputeOp, tuple[float, float]], ExecutionTrace]]
-        | None = None,
+        materialize: Callable[[], dict[ComputeOp, tuple[float, float]]] | None = None,
     ) -> None:
         self._op_times = op_times
         self._trace = trace
         self._materialize = materialize
-        if materialize is None:
-            if self._op_times is None:
-                self._op_times = {}
-            if self._trace is None:
-                self._trace = ExecutionTrace()
+        if materialize is None and self._op_times is None:
+            self._op_times = {}
         self.makespan_ms = makespan_ms
         self.device_busy_ms = device_busy_ms if device_busy_ms is not None else []
         self.device_idle_ms = device_idle_ms if device_idle_ms is not None else []
@@ -114,21 +117,30 @@ class SimulationResult:
             peak_activation_bytes if peak_activation_bytes is not None else []
         )
 
-    def _fill(self) -> None:
-        assert self._materialize is not None
-        self._op_times, self._trace = self._materialize()
-        self._materialize = None
-
     @property
     def op_times(self) -> dict[ComputeOp, tuple[float, float]]:
         if self._op_times is None:
-            self._fill()
+            assert self._materialize is not None
+            self._op_times = self._materialize()
+            self._materialize = None
         return self._op_times
 
     @property
     def trace(self) -> ExecutionTrace:
         if self._trace is None:
-            self._fill()
+            trace = ExecutionTrace()
+            for op, (start, end) in self.op_times.items():
+                trace.add(
+                    TraceEvent(
+                        device=op.stage,
+                        name=f"{op.op_type.value}{op.microbatch}",
+                        start_ms=start,
+                        end_ms=end,
+                        category="compute",
+                        microbatch=op.microbatch,
+                    )
+                )
+            self._trace = trace
         return self._trace
 
     @property
@@ -145,12 +157,21 @@ def _zero_comm_time(microbatch: int, src: int, dst: int, is_gradient: bool) -> f
 
 # ---------------------------------------------------------------- geometry cache
 
+#: Process-wide LRU of compiled geometries keyed by :func:`geometry_key`.
+#: Planner threads share it, so every access holds ``_GEOMETRY_LOCK``.
 _GEOMETRY_CACHE: OrderedDict[tuple, CompiledTimeline] = OrderedDict()
 _GEOMETRY_CACHE_MAX = 128
+_GEOMETRY_LOCK = threading.Lock()
+
+
+def geometry_key(sequences: Sequence[Sequence[int]]) -> tuple[bytes, ...]:
+    """Hashable key of a geometry given as encoded per-stage sequences
+    (``(microbatch << 1) | is_forward``): one int64 byte string per stage."""
+    return tuple(np.asarray(sequence, dtype=np.int64).tobytes() for sequence in sequences)
 
 
 def _structure_signature(schedule: PipelineSchedule) -> tuple:
-    """Hashable key for the schedule's geometry (per-stage op sequences)."""
+    """:func:`geometry_key` of ``schedule``'s per-stage op sequences."""
     parts = []
     for stage_schedule in schedule.stages:
         encoded = np.fromiter(
@@ -163,6 +184,44 @@ def _structure_signature(schedule: PipelineSchedule) -> tuple:
         )
         parts.append(encoded.tobytes())
     return tuple(parts)
+
+
+def _cached_geometry(
+    signature: tuple, compile_fn: Callable[[], CompiledTimeline]
+) -> CompiledTimeline:
+    """LRU lookup of ``signature``, compiling (outside the lock) on a miss."""
+    with _GEOMETRY_LOCK:
+        timeline = _GEOMETRY_CACHE.get(signature)
+        if timeline is not None:
+            _GEOMETRY_CACHE.move_to_end(signature)
+            _STATS["geometry_cache_hits"] += 1
+            return timeline
+    compiled = compile_fn()
+    with _GEOMETRY_LOCK:
+        # A concurrent miss on the same key may have inserted an equal
+        # geometry meanwhile; keep the first so callers share one object.
+        timeline = _GEOMETRY_CACHE.setdefault(signature, compiled)
+        _GEOMETRY_CACHE.move_to_end(signature)
+        while len(_GEOMETRY_CACHE) > _GEOMETRY_CACHE_MAX:
+            _GEOMETRY_CACHE.popitem(last=False)
+    return timeline
+
+
+def compile_stage_sequences(
+    num_stages: int,
+    sequences: Sequence[Sequence[int]],
+    key: tuple[bytes, ...] | None = None,
+) -> CompiledTimeline:
+    """Compiled geometry of encoded per-stage sequences, from the shared LRU.
+
+    Shares its cache with :func:`compile_schedule`: a schedule and its
+    encoded sequences have the same key.  ``key`` is the sequences'
+    :func:`geometry_key` when the caller has computed it already.
+    """
+    return _cached_geometry(
+        key if key is not None else geometry_key(sequences),
+        lambda: CompiledTimeline.from_stage_sequences(num_stages, sequences),
+    )
 
 
 def compile_schedule(schedule: PipelineSchedule) -> CompiledTimeline:
@@ -178,23 +237,45 @@ def compile_schedule(schedule: PipelineSchedule) -> CompiledTimeline:
     if cached is not None:
         _STATS["geometry_cache_hits"] += 1
         return cached
-    signature = _structure_signature(schedule)
-    timeline = _GEOMETRY_CACHE.get(signature)
-    if timeline is not None:
-        _GEOMETRY_CACHE.move_to_end(signature)
-        _STATS["geometry_cache_hits"] += 1
-    else:
-        timeline = CompiledTimeline.from_schedule(schedule)
-        _GEOMETRY_CACHE[signature] = timeline
-        while len(_GEOMETRY_CACHE) > _GEOMETRY_CACHE_MAX:
-            _GEOMETRY_CACHE.popitem(last=False)
+    timeline = _cached_geometry(
+        _structure_signature(schedule), lambda: CompiledTimeline.from_schedule(schedule)
+    )
     schedule._compiled_timeline = timeline  # cheap same-object memoization
     return timeline
 
 
 def clear_geometry_cache() -> None:
     """Drop all cached compiled geometries (used by tests)."""
-    _GEOMETRY_CACHE.clear()
+    with _GEOMETRY_LOCK:
+        _GEOMETRY_CACHE.clear()
+
+
+def timeline_result(
+    schedule: PipelineSchedule,
+    timeline: CompiledTimeline,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    makespan: float,
+    peaks: list[float],
+) -> SimulationResult:
+    """Wrap one solve of ``schedule``'s compiled geometry as a result.
+
+    Busy/idle come from the solve arrays now; ``op_times`` is built on
+    first access, keyed by ``schedule``'s own compute ops (and the trace
+    from it).
+    """
+    busy, idle = timeline.device_busy_idle(starts, ends, makespan)
+
+    def materialize() -> dict[ComputeOp, tuple[float, float]]:
+        return dict(zip(schedule.all_ops(), zip(starts.tolist(), ends.tolist())))
+
+    return SimulationResult(
+        makespan_ms=makespan,
+        device_busy_ms=busy,
+        device_idle_ms=idle,
+        peak_activation_bytes=peaks,
+        materialize=materialize,
+    )
 
 
 # ---------------------------------------------------------------- dispatcher
@@ -242,42 +323,15 @@ def simulate_schedule(
     comm = timeline.comm_from(comm_time_fn) if comm_time_fn is not None else None
     solution = timeline.solve(durations, comm)
     makespan = solution.makespan_ms
-    busy, idle = timeline.device_busy_idle(solution.starts, solution.ends, makespan)
     if activation_bytes is not None:
         peaks = timeline.peak_activation(activation_bytes, static_bytes)
     else:
         peaks = [
             (static_bytes[j] if static_bytes else 0.0) for j in range(schedule.num_stages)
         ]
-    starts, ends = solution.starts, solution.ends
-
-    def materialize() -> tuple[dict[ComputeOp, tuple[float, float]], ExecutionTrace]:
-        op_times: dict[ComputeOp, tuple[float, float]] = {}
-        trace = ExecutionTrace()
-        for i, op in enumerate(schedule.all_ops()):
-            start, end = float(starts[i]), float(ends[i])
-            op_times[op] = (start, end)
-            trace.add(
-                TraceEvent(
-                    device=op.stage,
-                    name=f"{op.op_type.value}{op.microbatch}",
-                    start_ms=start,
-                    end_ms=end,
-                    category="compute",
-                    microbatch=op.microbatch,
-                )
-            )
-        return op_times, trace
-
     _STATS["vector_simulations"] += 1
     _publish("simulation", engine="vector", num_stages=schedule.num_stages, makespan_ms=makespan)
-    return SimulationResult(
-        makespan_ms=makespan,
-        device_busy_ms=busy,
-        device_idle_ms=idle,
-        peak_activation_bytes=peaks,
-        materialize=materialize,
-    )
+    return timeline_result(schedule, timeline, solution.starts, solution.ends, makespan, peaks)
 
 
 # ---------------------------------------------------------------- scalar oracle

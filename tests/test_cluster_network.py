@@ -27,6 +27,16 @@ class TestLinkSpec:
         with pytest.raises(ValueError):
             NVSWITCH.transfer_time_ms(-1)
 
+    def test_array_transfer_times_equal_scalar_calls(self):
+        nbytes = [[0.0, 1.0, 3 * 1024**2], [12_582_912.0, 7e9, 123.456]]
+        for link in (NVSWITCH, EFA_400GBPS):
+            times = link.transfer_times_ms(nbytes)
+            assert times.tolist() == [[link.transfer_time_ms(b) for b in row] for row in nbytes]
+
+    def test_array_negative_bytes_rejected_like_scalar(self):
+        with pytest.raises(ValueError, match=r"nbytes must be >= 0, got -2\.0"):
+            NVSWITCH.transfer_times_ms([[1.0, -2.0], [-3.0, 0.0]])
+
     def test_nvswitch_faster_than_efa(self):
         nbytes = 100 * 1024**2
         assert NVSWITCH.transfer_time_ms(nbytes) < EFA_400GBPS.transfer_time_ms(nbytes)

@@ -138,8 +138,10 @@ class TestConfiguration:
             gpt_cost_model, config=PlannerConfig(order_search=False, tmax_sample_count=8)
         ).plan(samples)
 
-        def all_infeasible(times, score_fn, **kwargs):
-            return cluster_and_order(times, lambda order: float("inf"), **kwargs)
+        def all_infeasible(times, score_orders, **kwargs):
+            return cluster_and_order(
+                times, lambda orders: [float("inf")] * len(orders), **kwargs
+            )
 
         monkeypatch.setattr(planner_module, "cluster_and_order", all_infeasible)
         planner = DynaPipePlanner(

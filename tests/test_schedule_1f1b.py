@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.schedule.events import OpType, PipelineSchedule
-from repro.schedule.one_f_one_b import one_f_one_b_schedule
+from repro.schedule.one_f_one_b import one_f_one_b_schedule, one_f_one_b_stage_sequences
 from repro.schedule.validation import validate_schedule
 
 
@@ -29,6 +29,15 @@ class TestEvents:
 
 
 class TestOneFOneB:
+    @pytest.mark.parametrize("c, m", [(1, 1), (1, 3), (3, 2), (4, 8), (5, 3)])
+    def test_encoded_sequences_match_schedule(self, c, m):
+        schedule = one_f_one_b_schedule(c, m)
+        encoded = [
+            [(op.microbatch << 1) | (op.op_type is OpType.FORWARD) for op in stage.ops]
+            for stage in schedule.stages
+        ]
+        assert one_f_one_b_stage_sequences(c, m) == encoded
+
     def test_single_stage_alternates(self):
         schedule = one_f_one_b_schedule(1, 3)
         ops = [(op.op_type, op.microbatch) for op in schedule.stage(0).ops]

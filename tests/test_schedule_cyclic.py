@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule
+from oracles.cyclic_schedule import cyclic_stage_sequences_reference
+from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule, cyclic_stage_sequences
 from repro.schedule.events import OpType
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
 from repro.schedule.validation import ScheduleValidationError, validate_schedule
@@ -146,3 +149,33 @@ class TestValidation:
 
     def test_valid_1f1b_passes(self):
         validate_schedule(one_f_one_b_schedule(4, 8))
+
+
+class TestAlgorithmOneReference:
+    """``cyclic_stage_sequences`` against Algorithm 1's original cycle loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_stages=st.integers(1, 5),
+        rows=st.lists(
+            st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]), min_size=5, max_size=5),
+            min_size=1,
+            max_size=12,
+        ),
+        limit_scale=st.one_of(st.none(), st.floats(0.5, 6.0)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_sequences_and_deadlocks(self, num_stages, rows, limit_scale, seed):
+        activation = [row[:num_stages] for row in rows]
+        limits = None
+        if limit_scale is not None:
+            limits = [limit_scale * max(row[j] for row in activation) for j in range(num_stages)]
+        order = list(range(len(activation)))
+        random.Random(seed).shuffle(order)
+        outcomes = []
+        for algorithm in (cyclic_stage_sequences_reference, cyclic_stage_sequences):
+            try:
+                outcomes.append(algorithm(num_stages, activation, limits, order))
+            except ScheduleDeadlockError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[1] == outcomes[0]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,18 +25,23 @@ from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleKind
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
-from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule
+from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule, cyclic_stage_sequences
 from repro.schedule.events import OpType, PipelineSchedule, StageSchedule
-from repro.schedule.one_f_one_b import one_f_one_b_schedule
+from repro.schedule.one_f_one_b import one_f_one_b_schedule, one_f_one_b_stage_sequences
+from repro.simulator import engine
 from repro.simulator.compiled import SimulationError
 from repro.simulator.engine import (
     clear_geometry_cache,
+    compile_schedule,
+    compile_stage_sequences,
     engine_stats,
     reset_engine_stats,
     simulate_schedule,
     simulate_schedule_scalar,
 )
 from repro.simulator.incremental import IncrementalOrderSimulator
+
+from oracles.order_search import RebuildingPlanner
 
 
 def _random_case(rng: random.Random):
@@ -209,6 +216,55 @@ class TestGeometryCache:
         assert stats["geometry_cache_hits"] == 2
         assert stats["timeline_solves"] == 3
 
+    def test_schedule_and_encoded_sequences_share_one_entry(self):
+        clear_geometry_cache()
+        activation = [[10.0, 10.0] for _ in range(4)]
+        timeline = compile_schedule(cyclic_schedule(2, activation))
+        assert compile_stage_sequences(2, cyclic_stage_sequences(2, activation)) is timeline
+        assert compile_stage_sequences(2, one_f_one_b_stage_sequences(2, 4)) is compile_schedule(
+            one_f_one_b_schedule(2, 4)
+        )
+
+    def test_concurrent_planners_past_capacity(self, monkeypatch):
+        """Threads hitting, inserting and evicting more distinct geometries
+        than the LRU holds never see a missing key or a wrong geometry."""
+        clear_geometry_cache()
+        monkeypatch.setattr(engine, "_GEOMETRY_CACHE_MAX", 4)
+        shapes = [(stages, microbatches) for stages in (1, 2) for microbatches in range(1, 6)]
+        assert len(shapes) > engine._GEOMETRY_CACHE_MAX
+        errors = []
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for index in range(800):
+                    stages, microbatches = rng.choice(shapes)
+                    if index % 2:
+                        timeline = compile_schedule(one_f_one_b_schedule(stages, microbatches))
+                    else:
+                        sequences = one_f_one_b_stage_sequences(stages, microbatches)
+                        timeline = compile_stage_sequences(stages, sequences)
+                    assert (timeline.num_stages, timeline.num_microbatches) == (
+                        stages,
+                        microbatches,
+                    )
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(engine._GEOMETRY_CACHE) <= engine._GEOMETRY_CACHE_MAX
+        clear_geometry_cache()
+
 
 class TestDeadlockDiagnostics:
     def _missing_dependency_schedule(self) -> PipelineSchedule:
@@ -327,6 +383,49 @@ class TestIncrementalOrderSimulator:
             assert incremental == legacy
         assert simulator.compiles <= simulator.solves
 
+    @staticmethod
+    def _small_simulator(num_microbatches: int = 4) -> IncrementalOrderSimulator:
+        rng = np.random.default_rng(3)
+        shape = (num_microbatches, 2)
+        return IncrementalOrderSimulator(
+            2,
+            rng.uniform(1, 10, shape),
+            rng.uniform(1, 5, shape),
+            rng.uniform(2, 9, shape),
+            rng.uniform(0, 1, shape),
+            rng.uniform(0, 1, shape),
+        )
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [0, 0, 1, 2],  # repeated micro-batch
+            [0, 1, 2],  # dropped micro-batch
+            [0, 1, 2, -1],  # negative index
+            [0, 1, 2, 3, 4],  # index past the end
+            [0, 1.0, 2, 3],  # non-integer index
+        ],
+    )
+    def test_non_permutation_rejected(self, order):
+        simulator = self._small_simulator()
+        message = "permutation of the micro-batch indices"
+        with pytest.raises(ValueError, match=message):
+            simulator.score(order)
+        with pytest.raises(ValueError, match=message):
+            simulator.score_batch([[0, 1, 2, 3], order])
+        with pytest.raises(ValueError, match=message):
+            simulator.solve(order)
+        with pytest.raises(ValueError, match=message):
+            cyclic_schedule(2, simulator.activation_bytes.tolist(), injection_order=order)
+        assert simulator.solves == 0
+
+    def test_batch_scores_equal_single_scores(self):
+        simulator = self._small_simulator(5)
+        orders = list(itertools.permutations(range(5)))[::7]
+        batch = simulator.score_batch(orders)
+        assert batch == [self._small_simulator(5).score(order) for order in orders]
+        assert simulator.solves == len(orders)
+
 
 class TestPlannerIncrementalSearch:
     @pytest.fixture(scope="class")
@@ -334,15 +433,9 @@ class TestPlannerIncrementalSearch:
         return flan_samples_gpt[:60]
 
     def test_incremental_matches_legacy_plan(self, gpt_cost_model, search_samples):
-        base = dict(order_search=True, tmax_sample_count=8, max_order_permutations=12)
-        incremental = DynaPipePlanner(
-            gpt_cost_model,
-            config=PlannerConfig(incremental_order_search=True, **base),
-        ).plan(search_samples)
-        legacy = DynaPipePlanner(
-            gpt_cost_model,
-            config=PlannerConfig(incremental_order_search=False, **base),
-        ).plan(search_samples)
+        config = PlannerConfig(order_search=True, tmax_sample_count=8, max_order_permutations=12)
+        incremental = DynaPipePlanner(gpt_cost_model, config=config).plan(search_samples)
+        legacy = RebuildingPlanner(gpt_cost_model, config=config).plan(search_samples)
         assert incremental.predicted_iteration_ms == legacy.predicted_iteration_ms
         assert incremental.recompute == legacy.recompute
         for inc_replica, leg_replica in zip(incremental.replicas, legacy.replicas):
