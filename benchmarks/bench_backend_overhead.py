@@ -22,9 +22,11 @@ GPT-6.7B pp4 replica plan and one planned T5-11B pp2 replica plan (FULL
 recomputation): the scalar oracle loop driven by the per-instruction
 ground-truth closures (``tests/oracles``) against the integer-coded
 executor driven by the per-replica :class:`~repro.simulator.ground_truth.
-GroundTruth` tables.  Both sides decode the same stored payload and run
-with the same noise seed; every result field (makespan, per-device
-finish/busy/peak, transfer log, trace) is asserted equal.
+GroundTruth` tables.  Both sides decode the same stored payload (the
+column decode is timed once; the oracle's run includes building the
+instruction objects it needs) and run with the same noise seed; every
+result field (makespan, per-device finish/busy/peak, transfer log, trace)
+is asserted equal.
 
 Run with ``pytest benchmarks/bench_backend_overhead.py --benchmark-disable
 -s`` (or ``pytest benchmarks/ -m tier2_bench``).  Set
@@ -237,13 +239,13 @@ def bench_hot_path(label: str, arch: str, pipeline: int, data_parallel: int, mod
         ).run(plan.device_instructions)
 
     def current(plan):
-        options = truth.backend_options(plan.device_instructions, noisy_gpu())
+        options = truth.backend_options(plan.streams, noisy_gpu())
         return InstructionExecutor(
             options.compute_duration_fn,
             options.transfer_time_fn,
             options.activation_bytes_fn,
             options.static_bytes,
-        ).run(plan.device_instructions)
+        ).run(plan.streams)
 
     decode, oracle_run, run = [], [], []
     for _ in range(HOT_PATH_ROUNDS):

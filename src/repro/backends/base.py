@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.instructions.ops import PipelineInstruction
+from repro.instructions.streams import InstructionStreams
 from repro.simulator.executor import (
     ComputeDurationFn,
     ExecutionResult,
@@ -138,12 +139,15 @@ class BackendOptions:
 
     Attributes:
         compute_duration_fn: Maps Forward/Backward instructions to ms of
-            (virtual) compute.  Backends that run out-of-process evaluate
-            this in the parent and ship plain floats to the workers.
+            (virtual) compute, or a :class:`~repro.simulator.executor.RowCost`
+            pricing them from the instruction columns.  Backends that run
+            out-of-process evaluate this in the parent and ship plain floats
+            to the workers.
         transfer_time_fn: Maps (nbytes, src, dst) to transfer ms (virtual
             backends only; real backends move actual payloads instead).
         activation_bytes_fn: Maps compute instructions to the activation
-            bytes they allocate/free on their stage.  Backends may call it
+            bytes they allocate/free on their stage (or a ``RowCost``).
+            Backends may call it
             at any time and any number of times, so it must be a pure
             function of the instruction.
         static_bytes: Per-device static memory for the trackers.
@@ -165,14 +169,15 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def run(
-        self, device_instructions: Sequence[Sequence[PipelineInstruction]]
+        self, device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]]
     ) -> ExecutionResult:
-        """Execute the streams; raise
+        """Execute the streams (column streams, or instruction objects
+        encoded once by :func:`~repro.instructions.streams.encode_streams`); raise
         :class:`~repro.simulator.executor.CommunicationDeadlockError` when
         they cannot run to completion."""
 
     @abc.abstractmethod
     def run_report(
-        self, device_instructions: Sequence[Sequence[PipelineInstruction]]
+        self, device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]]
     ) -> BackendExecutionReport:
         """Execute the streams and return the full conformance report."""

@@ -56,24 +56,22 @@ from repro.backends.base import (
     ExecutionBackend,
     normalize_transfer_key,
 )
-from repro.instructions.ops import (
-    BackwardPass,
-    ForwardPass,
-    PipelineInstruction,
-    _CommStart,
-    _CommWait,
-)
-from repro.instructions.serialization import (
-    instruction_signature,
-    instructions_from_dicts,
-    instructions_to_dicts,
+from repro.instructions.ops import PipelineInstruction
+from repro.instructions.streams import (
+    FIRST_START,
+    FIRST_WAIT,
+    FORWARD,
+    KIND_VALUES,
+    InstructionStreams,
+    encode_streams,
+    posted_orders,
+    transfer_key,
 )
 from repro.simulator.executor import (
     CommunicationDeadlockError,
     ExecutionResult,
-    _transfer_key_for_start,
-    _transfer_key_for_wait,
-    blocked_instruction_detail,
+    blocked_detail,
+    compute_pricing,
     describe_blocked_detail,
 )
 from repro.simulator.memory_tracker import MemoryTracker
@@ -178,7 +176,7 @@ def _worker_main(device: int, cfg: dict[str, Any]) -> None:
 
 
 def _run_device(device: int, cfg: dict[str, Any], report: mp.Queue) -> None:
-    instructions = instructions_from_dicts(cfg["stream"], device)
+    columns = zip(cfg["op"], cfg["microbatch"], cfg["peer"])
     durations: list[float | None] = cfg["durations"]
     act_bytes: list[float | None] = cfg["act_bytes"]
     in_queues: dict[int, mp.Queue] = cfg["in_queues"]
@@ -220,43 +218,36 @@ def _run_device(device: int, cfg: dict[str, Any], report: mp.Queue) -> None:
         transfers.extend(received)
         payload_errors += errors
 
-    for index, instr in enumerate(instructions):
+    for index, (code, microbatch, peer) in enumerate(columns):
         start_ms = now_ms()
-        if isinstance(instr, (ForwardPass, BackwardPass)):
+        signature = (KIND_VALUES[code], microbatch, device, peer)
+        if code < FIRST_START:
             duration_ms = max(durations[index] or 0.0, 0.0)
             if time_scale > 0.0:
                 time.sleep(duration_ms * time_scale)
             nbytes = act_bytes[index]
             if nbytes is not None:
-                if isinstance(instr, ForwardPass):
-                    tracker.allocate(("act", instr.microbatch), nbytes)
+                if code == FORWARD:
+                    tracker.allocate(("act", microbatch), nbytes)
                 else:
-                    tracker.free(("act", instr.microbatch))
+                    tracker.free(("act", microbatch))
             end_ms = now_ms()
             busy_ms += end_ms - start_ms
-            events.append(
-                (instruction_signature(instr), start_ms, end_ms, "compute", instr.microbatch)
-            )
-        elif isinstance(instr, _CommStart):
-            key = normalize_transfer_key(_transfer_key_for_start(instr))
-            payload = (
-                expected_payload(key) if (instr.is_send and ship_payloads) else None
-            )
-            record = _PostRecord(
-                key=key, is_send=instr.is_send, post_ms=start_ms, payload=payload
-            )
-            channels[instr.peer].mine.append(record)
-            out_queues[instr.peer].put(record)
+            events.append((signature, start_ms, end_ms, "compute", microbatch))
+        elif code < FIRST_WAIT:
+            key = normalize_transfer_key(transfer_key(code, device, peer, microbatch))
+            is_send = code % 2 == 0
+            payload = expected_payload(key) if (is_send and ship_payloads) else None
+            record = _PostRecord(key=key, is_send=is_send, post_ms=start_ms, payload=payload)
+            channels[peer].mine.append(record)
+            out_queues[peer].put(record)
             # Opportunistic, non-blocking progress on this channel.
-            while drain(instr.peer, None):
+            while drain(peer, None):
                 pass
-            match(instr.peer)
-            events.append(
-                (instruction_signature(instr), start_ms, now_ms(), "comm_start", instr.microbatch)
-            )
-        elif isinstance(instr, _CommWait):
-            key = normalize_transfer_key(_transfer_key_for_wait(instr))
-            peer = instr.peer
+            match(peer)
+            events.append((signature, start_ms, now_ms(), "comm_start", microbatch))
+        else:
+            key = normalize_transfer_key(transfer_key(code, device, peer, microbatch))
             channel = channels[peer]
             reported_blocked = False
             report_at = time.time() + block_report_s
@@ -264,7 +255,7 @@ def _run_device(device: int, cfg: dict[str, Any], report: mp.Queue) -> None:
                 if not reported_blocked and (
                     channel.heads_mismatched() or time.time() >= report_at
                 ):
-                    detail = blocked_instruction_detail(device, instr)
+                    detail = blocked_detail(device, code, microbatch, peer)
                     detail["head_mismatch"] = channel.heads_mismatched()
                     report.put(("blocked", device, detail))
                     reported_blocked = True
@@ -272,12 +263,8 @@ def _run_device(device: int, cfg: dict[str, Any], report: mp.Queue) -> None:
                 match(peer)
             if reported_blocked:
                 report.put(("unblocked", device))
-            events.append(
-                (instruction_signature(instr), start_ms, now_ms(), "comm_wait", instr.microbatch)
-            )
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown instruction type {type(instr).__name__}")
-        executed.append(instruction_signature(instr))
+            events.append((signature, start_ms, now_ms(), "comm_wait", microbatch))
+        executed.append(signature)
 
     report.put(
         (
@@ -348,74 +335,80 @@ class LocalBackend(ExecutionBackend):
 
     # ------------------------------------------------------------- plumbing
 
-    def _channels(
-        self, device_instructions: Sequence[Sequence[PipelineInstruction]]
-    ) -> set[ChannelId]:
+    def _channels(self, streams: InstructionStreams) -> set[ChannelId]:
         pairs: set[ChannelId] = set()
-        for stream in device_instructions:
-            for instr in stream:
-                if isinstance(instr, (_CommStart, _CommWait)):
-                    a, b = instr.stage, instr.peer
-                    pairs.add((a, b) if a < b else (b, a))
+        for device, stream in enumerate(streams):
+            for code, peer in zip(stream.op, stream.peer):
+                if code >= FIRST_START:
+                    pairs.add((device, peer) if device < peer else (peer, device))
         return pairs
 
-    def _worker_cfg(
+    def _worker_cfgs(
         self,
-        device: int,
-        stream: Sequence[PipelineInstruction],
+        streams: InstructionStreams,
         queues: dict[tuple[int, int], mp.Queue],
         report_queue: mp.Queue,
         t0: float,
-    ) -> dict[str, Any]:
-        durations: list[float | None] = []
-        act_bytes: list[float | None] = []
-        for instr in stream:
-            if isinstance(instr, (ForwardPass, BackwardPass)):
-                durations.append(max(self.options.compute_duration_fn(instr), 0.0))
-                act_bytes.append(
-                    self.options.activation_bytes_fn(instr)
-                    if self.options.activation_bytes_fn is not None
-                    else None
-                )
-            else:
-                durations.append(None)
-                act_bytes.append(None)
-        peers = {
-            instr.peer
-            for instr in stream
-            if isinstance(instr, (_CommStart, _CommWait))
-        }
-        static = 0.0
-        if self.options.static_bytes is not None:
-            static = self.options.static_bytes[device]
-        return {
-            "stream": instructions_to_dicts(stream),
-            "durations": durations,
-            "act_bytes": act_bytes,
-            "in_queues": {peer: queues[(peer, device)] for peer in peers},
-            "out_queues": {peer: queues[(device, peer)] for peer in peers},
-            "report_queue": report_queue,
-            "t0": t0,
-            "static_bytes": static,
-            "device_capacity": self.options.device_capacity,
-            "block_report_s": self.block_report_s,
-            "poll_s": self.poll_s,
-            "compute_time_scale": self.compute_time_scale,
-            "ship_payloads": self.ship_payloads,
-        }
+    ) -> list[dict[str, Any]]:
+        """One config per device: its columns and its compute costs, priced
+        here in stream order."""
+        duration_fn, duration_args = compute_pricing(self.options.compute_duration_fn, streams)
+        activation_fn = self.options.activation_bytes_fn
+        if activation_fn is not None:
+            activation_fn, activation_args = compute_pricing(activation_fn, streams)
+        cfgs = []
+        for device, stream in enumerate(streams):
+            durations: list[float | None] = []
+            act_bytes: list[float | None] = []
+            for position, code in enumerate(stream.op):
+                if code < FIRST_START:
+                    durations.append(max(duration_fn(duration_args[device][position]), 0.0))
+                    act_bytes.append(
+                        activation_fn(activation_args[device][position])
+                        if activation_fn is not None
+                        else None
+                    )
+                else:
+                    durations.append(None)
+                    act_bytes.append(None)
+            peers = {peer for code, peer in zip(stream.op, stream.peer) if code >= FIRST_START}
+            static = 0.0
+            if self.options.static_bytes is not None:
+                static = self.options.static_bytes[device]
+            cfgs.append(
+                {
+                    "op": stream.op,
+                    "microbatch": stream.microbatch,
+                    "peer": stream.peer,
+                    "durations": durations,
+                    "act_bytes": act_bytes,
+                    "in_queues": {peer: queues[(peer, device)] for peer in peers},
+                    "out_queues": {peer: queues[(device, peer)] for peer in peers},
+                    "report_queue": report_queue,
+                    "t0": t0,
+                    "static_bytes": static,
+                    "device_capacity": self.options.device_capacity,
+                    "block_report_s": self.block_report_s,
+                    "poll_s": self.poll_s,
+                    "compute_time_scale": self.compute_time_scale,
+                    "ship_payloads": self.ship_payloads,
+                }
+            )
+        return cfgs
 
     # ------------------------------------------------------------- execution
 
     def run(
-        self, device_instructions: Sequence[Sequence[PipelineInstruction]]
+        self, device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]]
     ) -> ExecutionResult:
         return self.run_report(device_instructions).result
 
     def run_report(
-        self, device_instructions: Sequence[Sequence[PipelineInstruction]]
+        self, device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]]
     ) -> BackendExecutionReport:
         started = time.perf_counter()
-        num_devices = len(device_instructions)
+        streams = encode_streams(device_instructions)
+        num_devices = len(streams)
         if num_devices == 0:
             return BackendExecutionReport(
                 backend=self.name,
@@ -434,20 +427,13 @@ class LocalBackend(ExecutionBackend):
         ctx = mp.get_context(self.mp_start_method)
         report_queue: mp.Queue = ctx.Queue()
         queues: dict[tuple[int, int], mp.Queue] = {}
-        for a, b in self._channels(device_instructions):
+        for a, b in self._channels(streams):
             queues[(a, b)] = ctx.Queue()
             queues[(b, a)] = ctx.Queue()
         t0 = time.time()
         workers = [
-            ctx.Process(
-                target=_worker_main,
-                args=(
-                    device,
-                    self._worker_cfg(device, stream, queues, report_queue, t0),
-                ),
-                daemon=True,
-            )
-            for device, stream in enumerate(device_instructions)
+            ctx.Process(target=_worker_main, args=(device, cfg), daemon=True)
+            for device, cfg in enumerate(self._worker_cfgs(streams, queues, report_queue, t0))
         ]
         for worker in workers:
             worker.start()
@@ -462,7 +448,7 @@ class LocalBackend(ExecutionBackend):
                 worker.join(timeout=5.0)
             report_queue.cancel_join_thread()
 
-        return self._assemble(device_instructions, done, time.perf_counter() - started)
+        return self._assemble(streams, done, time.perf_counter() - started)
 
     def _collect(self, report_queue: mp.Queue, num_devices: int) -> dict[int, dict]:
         """Watchdog loop: wait for done-reports, convert stable all-blocked
@@ -544,7 +530,7 @@ class LocalBackend(ExecutionBackend):
 
     def _settle_trailing_matches(
         self,
-        device_instructions: Sequence[Sequence[PipelineInstruction]],
+        streams: InstructionStreams,
         done: dict[int, dict],
         channel_order: dict[ChannelId, list[WireKey]],
         transfer_log: list[tuple],
@@ -560,39 +546,29 @@ class LocalBackend(ExecutionBackend):
         its whole stream, making the per-channel posted sequences exactly
         the Start ops in stream order.
         """
-        posted: dict[ChannelId, dict[int, list[tuple[WireKey, bool]]]] = {}
-        for device, stream in enumerate(device_instructions):
-            for instr in stream:
-                if not isinstance(instr, _CommStart):
-                    continue
-                channel = (
-                    (device, instr.peer) if device < instr.peer else (instr.peer, device)
-                )
-                posted.setdefault(channel, {}).setdefault(device, []).append(
-                    (normalize_transfer_key(_transfer_key_for_start(instr)), instr.is_send)
-                )
         settle_ms = max((done[d]["finish_ms"] for d in done), default=0.0)
-        for channel, sides in posted.items():
+        for channel, sides in posted_orders(streams).items():
             matched = channel_order.get(channel, [])
             a, b = channel
-            remaining_a = sides.get(a, [])[len(matched):]
-            remaining_b = sides.get(b, [])[len(matched):]
+            remaining_a = sides[a][len(matched):]
+            remaining_b = sides[b][len(matched):]
             index = 0
             while index < len(remaining_a) and index < len(remaining_b):
                 (key_a, send_a), (key_b, send_b) = remaining_a[index], remaining_b[index]
                 if key_a != key_b or send_a == send_b:
                     break
-                channel_order.setdefault(channel, []).append(key_a)
-                transfer_log.append((key_a, settle_ms, settle_ms))
+                key = normalize_transfer_key(key_a)
+                channel_order.setdefault(channel, []).append(key)
+                transfer_log.append((key, settle_ms, settle_ms))
                 index += 1
 
     def _assemble(
         self,
-        device_instructions: Sequence[Sequence[PipelineInstruction]],
+        streams: InstructionStreams,
         done: dict[int, dict],
         wall_time_s: float,
     ) -> BackendExecutionReport:
-        num_devices = len(device_instructions)
+        num_devices = len(streams)
         trace = ExecutionTrace()
         transfer_log: list[tuple] = []
         channel_order: dict[ChannelId, list[WireKey]] = {}
@@ -644,9 +620,7 @@ class LocalBackend(ExecutionBackend):
                             f"its two sides: {known} vs {list(order)}"
                         )
                     channel_order[channel] = long
-        self._settle_trailing_matches(
-            device_instructions, done, channel_order, transfer_log
-        )
+        self._settle_trailing_matches(streams, done, channel_order, transfer_log)
         transfer_log.sort(key=lambda entry: (entry[2], entry[0]))
         result = ExecutionResult(
             makespan_ms=max((done[d]["finish_ms"] for d in range(num_devices)), default=0.0),

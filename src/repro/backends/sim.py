@@ -8,8 +8,8 @@ model, so the adapter only derives the conformance report fields (event
 order, per-channel matching order) from the executor's output.
 
 :meth:`SimBackend.run` is the simulated execution hot path: the executor
-lowers the streams into an integer-coded program once and sweeps it, and
-the trace is built only if someone reads it.  The ``BackendOptions`` a
+lowers the plan's instruction columns into an integer-coded program once
+and sweeps it, and the trace is built only if someone reads it.  The ``BackendOptions`` a
 training run passes in come from
 :meth:`repro.simulator.ground_truth.GroundTruth.backend_options`, whose
 callbacks look up costs computed once per replica plan, so a backend is
@@ -34,7 +34,7 @@ from repro.backends.base import (
     channel_order_from_log,
 )
 from repro.instructions.ops import PipelineInstruction
-from repro.instructions.serialization import instruction_signature
+from repro.instructions.streams import KIND_VALUES, InstructionStreams, encode_streams
 from repro.simulator.executor import ExecutionResult, InstructionExecutor
 
 
@@ -54,22 +54,26 @@ class SimBackend(ExecutionBackend):
         )
 
     def run(
-        self, device_instructions: Sequence[Sequence[PipelineInstruction]]
+        self, device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]]
     ) -> ExecutionResult:
         return self._executor.run(device_instructions)
 
     def run_report(
-        self, device_instructions: Sequence[Sequence[PipelineInstruction]]
+        self, device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]]
     ) -> BackendExecutionReport:
         started = time.perf_counter()
-        result = self.run(device_instructions)
+        streams = encode_streams(device_instructions)
+        result = self.run(streams)
         wall = time.perf_counter() - started
         return BackendExecutionReport(
             backend=self.name,
             result=result,
             device_event_order=[
-                [instruction_signature(instr) for instr in stream]
-                for stream in device_instructions
+                [
+                    (KIND_VALUES[code], microbatch, stream.device, peer)
+                    for code, microbatch, peer in zip(stream.op, stream.microbatch, stream.peer)
+                ]
+                for stream in streams
             ],
             channel_transfer_order=channel_order_from_log(result.transfer_log),
             wall_time_s=wall,

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.instructions.ops import PipelineInstruction, _CommStart
-from repro.simulator.executor import _transfer_key_for_start
+from repro.instructions.ops import PipelineInstruction
+from repro.instructions.streams import InstructionStreams, encode_streams, posted_orders
 
 
 @dataclass
@@ -35,23 +35,16 @@ class CommOrderReport:
 
 
 def check_comm_order(
-    device_instructions: Sequence[Sequence[PipelineInstruction]],
+    device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]],
 ) -> CommOrderReport:
-    """Check the posting-order consistency of ``device_instructions``."""
-    # Collect, per unordered device pair, each side's posting order.
-    orders: dict[tuple[int, int], dict[int, list[tuple]]] = {}
-    for device, stream in enumerate(device_instructions):
-        for instruction in stream:
-            if not isinstance(instruction, _CommStart):
-                continue
-            pair = (
-                (instruction.stage, instruction.peer)
-                if instruction.stage < instruction.peer
-                else (instruction.peer, instruction.stage)
-            )
-            per_side = orders.setdefault(pair, {pair[0]: [], pair[1]: []})
-            key = _transfer_key_for_start(instruction)
-            per_side[device].append((key, instruction.is_send))
+    """Check the posting-order consistency of ``device_instructions``.
+
+    Raises:
+        ValueError: If an instruction sits in the stream of a device other
+            than its stage (the executor's error: device, kind, position
+            and, for a Start op, the channel).
+    """
+    orders = posted_orders(encode_streams(device_instructions))
 
     mismatches = []
     for pair, per_side in orders.items():

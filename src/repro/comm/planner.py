@@ -1,7 +1,8 @@
 """Ahead-of-time communication planning and instruction stream generation.
 
 Given a pipeline schedule and the simulated timeline of its compute ops, the
-planner emits one instruction stream per device containing:
+planner emits one instruction stream per device, written straight into the
+integer columns of :mod:`repro.instructions.streams`, containing:
 
 * the compute ops in their scheduled order (``ForwardPass`` / ``BackwardPass``),
 * ``Send*Start`` / ``Recv*Start`` ops for every inter-stage transfer, and
@@ -24,74 +25,47 @@ and the baseline to demonstrate the problem.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.comm.shapes import TransferShapes
-from repro.instructions.ops import (
-    BackwardPass,
-    ForwardPass,
-    PipelineInstruction,
-    RecvActStart,
-    RecvGradStart,
-    SendActStart,
-    SendGradStart,
-    WaitRecvAct,
-    WaitRecvGrad,
+from repro.instructions.streams import (
+    BACKWARD,
+    FORWARD,
+    NONE,
+    RECOMPUTE_CODES,
+    RECV_ACT,
+    RECV_GRAD,
+    SEND_ACT,
+    SEND_GRAD,
+    WAIT_RECV_ACT,
+    WAIT_RECV_GRAD,
+    DeviceStream,
+    InstructionStreams,
+    columns_of,
 )
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
 from repro.schedule.events import ComputeOp, OpType, PipelineSchedule
 
 
-@dataclass(frozen=True)
-class _PlannedComm:
-    """A communication Start op anchored on a device's compute sequence.
-
-    Attributes:
-        device: Device whose stream the op belongs to.
-        anchor: Index into the device's compute-op sequence before which the
-            op must be launched (``len(ops)`` means "after the last op").
-        order_time: Global time used to order Start ops with the same anchor.
-        sequence: Tie-break counter preserving planning order.
-        instruction: The Start instruction itself.
-    """
-
-    device: int
-    anchor: int
-    order_time: float
-    sequence: int
-    instruction: PipelineInstruction
+def _shape_table(shapes: Sequence[MicroBatchShape]) -> tuple[list[MicroBatchShape], list[int]]:
+    """The distinct shapes (a plan's shape table) and each micro-batch's index in it."""
+    table: dict[MicroBatchShape, int] = {}
+    index = [table.setdefault(shape, len(table)) for shape in shapes]
+    return list(table), index
 
 
-def _compute_instruction(
-    op: ComputeOp,
-    shapes: Sequence[MicroBatchShape],
-    recompute: Sequence[RecomputeMode],
-) -> PipelineInstruction:
-    """Build the ForwardPass/BackwardPass instruction for a compute op."""
-    shape = shapes[op.microbatch]
-    mode = recompute[op.microbatch]
-    if op.op_type is OpType.FORWARD:
-        return ForwardPass(microbatch=op.microbatch, stage=op.stage, shape=shape, recompute=mode)
-    return BackwardPass(microbatch=op.microbatch, stage=op.stage, shape=shape, recompute=mode)
-
-
-def _start_bounds(
-    schedule: PipelineSchedule, op_times: dict[ComputeOp, tuple[float, float]]
-) -> list[list[float]]:
+def _start_bounds(starts: Sequence[Sequence[float]]) -> list[list[float]]:
     """Per device, the running maximum of its compute ops' start times.
 
-    The first op of a device that starts at or after some time is the first
+    ``starts`` holds each device's op start times in its op order.  The
+    first op of a device that starts at or after some time is the first
     position where this running maximum reaches that time, so
     :func:`_anchor_for_time` can bisect it even when start times are not
     monotone in the device's op order.
     """
-    return [
-        list(accumulate((op_times[op][0] for op in stage_schedule.ops), max))
-        for stage_schedule in schedule.stages
-    ]
+    return [list(accumulate(device_starts, max)) for device_starts in starts]
 
 
 def _anchor_for_time(bounds: Sequence[float], time: float) -> int:
@@ -118,97 +92,98 @@ def _normalise_recompute(
 
 def build_instruction_streams(
     schedule: PipelineSchedule,
-    op_times: dict[ComputeOp, tuple[float, float]],
+    op_times: Mapping[ComputeOp, tuple[float, float]] | tuple[Sequence[float], Sequence[float]],
     shapes: Sequence[MicroBatchShape],
     transfer_shapes: TransferShapes,
     recompute: RecomputeMode | Sequence[RecomputeMode] = RecomputeMode.NONE,
-) -> list[list[PipelineInstruction]]:
+) -> InstructionStreams:
     """Generate deadlock-free per-device instruction streams (paper §6).
 
     Args:
         schedule: The pipeline schedule (per-device compute op order).
-        op_times: Simulated (start, end) times of every compute op, e.g. from
-            :func:`repro.simulator.engine.simulate_schedule`.
+        op_times: Simulated (start, end) times of every compute op: a
+            mapping keyed by op (e.g. ``simulate_schedule(...).op_times``)
+            or a ``(starts, ends)`` pair of sequences in
+            ``schedule.all_ops()`` order (a replica timeline's solved row,
+            ``SimulationResult.op_columns``).
         shapes: Padded shape of each micro-batch (indexed by micro-batch id).
         transfer_shapes: Byte counts of all inter-stage transfers.
         recompute: Recomputation mode, either global or per micro-batch.
 
     Returns:
-        One list of instructions per device, in execution order.
+        One column stream per device, in execution order, over a shape
+        table of the distinct micro-batch shapes.
     """
     num_stages = schedule.num_stages
     if len(shapes) != schedule.num_microbatches:
         raise ValueError(
             f"expected {schedule.num_microbatches} shapes, got {len(shapes)}"
         )
-    recompute_modes = _normalise_recompute(recompute, schedule.num_microbatches)
+    modes = [RECOMPUTE_CODES[m] for m in _normalise_recompute(recompute, len(shapes))]
+    if isinstance(op_times, Mapping):
+        times = [op_times[op] for op in schedule.all_ops()]
+        starts, ends = [t[0] for t in times], [t[1] for t in times]
+    else:
+        starts, ends = (
+            values.tolist() if hasattr(values, "tolist") else list(values) for values in op_times
+        )
+    shape_table, shape_index = _shape_table(shapes)
 
-    # Position of each compute op within its device's sequence.
-    op_position: dict[ComputeOp, int] = {}
-    for stage_schedule in schedule.stages:
-        for position, op in enumerate(stage_schedule.ops):
-            op_position[op] = position
+    device_ops = [stage_schedule.ops for stage_schedule in schedule.stages]
+    offsets = list(accumulate((len(ops) for ops in device_ops), initial=0))
+    bounds = _start_bounds(
+        [starts[offsets[d]:offsets[d + 1]] for d in range(num_stages)]
+    )
+    # Both sides of every transfer are posted at the producer's end time:
+    # per device, (anchor, order time, producer stage, micro-batch, opcode,
+    # peer, nbytes).  Sorting a device's entries orders its Start ops by
+    # anchor, then by the producers' global (end, stage, micro-batch) order.
+    planned: list[list[tuple]] = [[] for _ in range(num_stages)]
+    forward = OpType.FORWARD
+    for stage, ops in enumerate(device_ops):
+        stage_ends = ends[offsets[stage]:offsets[stage + 1]]
+        for position, (op, end) in enumerate(zip(ops, stage_ends)):
+            mb = op.microbatch
+            if op.op_type is forward:
+                if stage < num_stages - 1:
+                    nbytes = transfer_shapes.act_bytes(mb, stage)
+                    anchor = _anchor_for_time(bounds[stage + 1], end)
+                    planned[stage].append((position + 1, end, stage, mb, SEND_ACT, stage + 1, nbytes))
+                    planned[stage + 1].append((anchor, end, stage, mb, RECV_ACT, stage, nbytes))
+            elif stage > 0:
+                nbytes = transfer_shapes.grad_bytes(mb, stage)
+                anchor = _anchor_for_time(bounds[stage - 1], end)
+                planned[stage].append((position + 1, end, stage, mb, SEND_GRAD, stage - 1, nbytes))
+                planned[stage - 1].append((anchor, end, stage, mb, RECV_GRAD, stage, nbytes))
 
-    bounds = _start_bounds(schedule, op_times)
-
-    planned: list[_PlannedComm] = []
-    sequence = 0
-    # Iterate compute ops by ascending end time; schedule both sides of each
-    # transfer at the producer's end time.
-    for op in sorted(op_times, key=lambda o: (op_times[o][1], o.stage, o.microbatch)):
-        end_time = op_times[op][1]
-        mb = op.microbatch
-        if op.op_type is OpType.FORWARD and op.stage < num_stages - 1:
-            nbytes = transfer_shapes.act_bytes(mb, op.stage)
-            send = SendActStart(microbatch=mb, stage=op.stage, peer=op.stage + 1, nbytes=nbytes)
-            recv = RecvActStart(microbatch=mb, stage=op.stage + 1, peer=op.stage, nbytes=nbytes)
-            planned.append(
-                _PlannedComm(op.stage, op_position[op] + 1, end_time, sequence, send)
-            )
-            sequence += 1
-            planned.append(
-                _PlannedComm(op.stage + 1, _anchor_for_time(bounds[op.stage + 1], end_time), end_time, sequence, recv)
-            )
-            sequence += 1
-        elif op.op_type is OpType.BACKWARD and op.stage > 0:
-            nbytes = transfer_shapes.grad_bytes(mb, op.stage)
-            send = SendGradStart(microbatch=mb, stage=op.stage, peer=op.stage - 1, nbytes=nbytes)
-            recv = RecvGradStart(microbatch=mb, stage=op.stage - 1, peer=op.stage, nbytes=nbytes)
-            planned.append(
-                _PlannedComm(op.stage, op_position[op] + 1, end_time, sequence, send)
-            )
-            sequence += 1
-            planned.append(
-                _PlannedComm(op.stage - 1, _anchor_for_time(bounds[op.stage - 1], end_time), end_time, sequence, recv)
-            )
-            sequence += 1
-
-    # Group planned comm ops by (device, anchor), keeping the global order.
-    by_anchor: dict[tuple[int, int], list[_PlannedComm]] = {}
-    for item in planned:
-        by_anchor.setdefault((item.device, item.anchor), []).append(item)
-    for items in by_anchor.values():
-        items.sort(key=lambda item: (item.order_time, item.sequence))
-
-    streams: list[list[PipelineInstruction]] = []
-    for device in range(num_stages):
-        stream: list[PipelineInstruction] = []
-        device_ops = schedule.stage(device).ops
-        for position, op in enumerate(device_ops):
-            # Comm Start ops anchored before this compute op.
-            for item in by_anchor.get((device, position), []):
-                stream.append(item.instruction)
+    devices = []
+    for device, ops in enumerate(device_ops):
+        rows: list[tuple] = []
+        comms = sorted(planned[device])
+        comms.append((len(ops) + 1,))  # sentinel: no Start op anchors past the end
+        next_comm = 0
+        act_peer = device - 1 if device > 0 else None
+        grad_peer = device + 1 if device < num_stages - 1 else None
+        for position in range(len(ops) + 1):
+            while comms[next_comm][0] == position:
+                _, _, _, mb, code, peer, nbytes = comms[next_comm]
+                rows.append((code, mb, peer, NONE, NONE, nbytes))
+                next_comm += 1
+            if position == len(ops):
+                break
+            op = ops[position]
+            mb = op.microbatch
             # Wait for the tensor this compute op consumes, if any.
-            if op.op_type is OpType.FORWARD and device > 0:
-                stream.append(WaitRecvAct(microbatch=op.microbatch, stage=device, peer=device - 1))
-            elif op.op_type is OpType.BACKWARD and device < num_stages - 1:
-                stream.append(WaitRecvGrad(microbatch=op.microbatch, stage=device, peer=device + 1))
-            stream.append(_compute_instruction(op, shapes, recompute_modes))
-        # Comm ops anchored after the final compute op.
-        for item in by_anchor.get((device, len(device_ops)), []):
-            stream.append(item.instruction)
-        streams.append(stream)
-    return streams
+            if op.op_type is forward:
+                if act_peer is not None:
+                    rows.append((WAIT_RECV_ACT, mb, act_peer, NONE, NONE, 0.0))
+                rows.append((FORWARD, mb, NONE, shape_index[mb], modes[mb], 0.0))
+            else:
+                if grad_peer is not None:
+                    rows.append((WAIT_RECV_GRAD, mb, grad_peer, NONE, NONE, 0.0))
+                rows.append((BACKWARD, mb, NONE, shape_index[mb], modes[mb], 0.0))
+        devices.append(DeviceStream(device, *columns_of(rows), shape_table))
+    return InstructionStreams(devices, shape_table)
 
 
 def build_naive_instruction_streams(
@@ -216,7 +191,7 @@ def build_naive_instruction_streams(
     shapes: Sequence[MicroBatchShape],
     transfer_shapes: TransferShapes,
     recompute: RecomputeMode | Sequence[RecomputeMode] = RecomputeMode.NONE,
-) -> list[list[PipelineInstruction]]:
+) -> InstructionStreams:
     """Generate instruction streams with the *naive* communication order.
 
     Sends are posted immediately after the compute op that produces the
@@ -226,29 +201,32 @@ def build_naive_instruction_streams(
     deadlocks — under dynamic schedules (paper §2.3, Fig. 8).
     """
     num_stages = schedule.num_stages
-    recompute_modes = _normalise_recompute(recompute, schedule.num_microbatches)
-    streams = []
+    modes = [RECOMPUTE_CODES[m] for m in _normalise_recompute(recompute, schedule.num_microbatches)]
+    table, shape_index = _shape_table(shapes)
+    devices = []
     for device in range(num_stages):
-        stream: list[PipelineInstruction] = []
+        rows: list[tuple] = []
         for op in schedule.stage(device).ops:
             mb = op.microbatch
-            if op.op_type is OpType.FORWARD:
+            forward = op.op_type is OpType.FORWARD
+            compute = (FORWARD if forward else BACKWARD, mb, NONE, shape_index[mb], modes[mb], 0.0)
+            if forward:
                 if device > 0:
                     nbytes = transfer_shapes.act_bytes(mb, device - 1)
-                    stream.append(RecvActStart(microbatch=mb, stage=device, peer=device - 1, nbytes=nbytes))
-                    stream.append(WaitRecvAct(microbatch=mb, stage=device, peer=device - 1))
-                stream.append(_compute_instruction(op, shapes, recompute_modes))
+                    rows.append((RECV_ACT, mb, device - 1, NONE, NONE, nbytes))
+                    rows.append((WAIT_RECV_ACT, mb, device - 1, NONE, NONE, 0.0))
+                rows.append(compute)
                 if device < num_stages - 1:
                     nbytes = transfer_shapes.act_bytes(mb, device)
-                    stream.append(SendActStart(microbatch=mb, stage=device, peer=device + 1, nbytes=nbytes))
+                    rows.append((SEND_ACT, mb, device + 1, NONE, NONE, nbytes))
             else:
                 if device < num_stages - 1:
                     nbytes = transfer_shapes.grad_bytes(mb, device + 1)
-                    stream.append(RecvGradStart(microbatch=mb, stage=device, peer=device + 1, nbytes=nbytes))
-                    stream.append(WaitRecvGrad(microbatch=mb, stage=device, peer=device + 1))
-                stream.append(_compute_instruction(op, shapes, recompute_modes))
+                    rows.append((RECV_GRAD, mb, device + 1, NONE, NONE, nbytes))
+                    rows.append((WAIT_RECV_GRAD, mb, device + 1, NONE, NONE, 0.0))
+                rows.append(compute)
                 if device > 0:
                     nbytes = transfer_shapes.grad_bytes(mb, device)
-                    stream.append(SendGradStart(microbatch=mb, stage=device, peer=device - 1, nbytes=nbytes))
-        streams.append(stream)
-    return streams
+                    rows.append((SEND_GRAD, mb, device - 1, NONE, NONE, nbytes))
+        devices.append(DeviceStream(device, *columns_of(rows), table))
+    return InstructionStreams(devices, table)

@@ -4,8 +4,10 @@ An execution plan is everything one executor (pipeline of one data-parallel
 replica) needs for a training iteration: per-device instruction streams,
 micro-batch shapes, the recomputation mode and the predictions the planner
 made (iteration time, peak memory) so that they can later be compared with
-the measured execution (Fig. 17/18).  Plans serialise to JSON-compatible
-dictionaries for the instruction store.
+the measured execution (Fig. 17/18).  The streams are held as integer
+columns (:class:`~repro.instructions.streams.InstructionStreams`) and
+serialise as such for the instruction store
+(:mod:`repro.instructions.serialization`).
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from typing import Any, Sequence
 
 from repro.instructions.ops import PipelineInstruction
 from repro.instructions.serialization import (
-    instructions_from_dicts,
-    instructions_to_dicts,
-    shape_from_dict,
+    PlanPayloadError,
+    streams_from_payload,
+    streams_to_payload,
 )
+from repro.instructions.streams import InstructionStreams, encode_streams
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
 
@@ -48,29 +51,49 @@ class PlanMetadata:
     planning_time_s: float = 0.0
 
 
-@dataclass
 class ExecutionPlan:
     """Per-replica execution plan: instruction streams plus metadata.
 
-    Attributes:
-        device_instructions: One instruction list per pipeline stage.
+    Args:
+        device_instructions: One stream per pipeline stage, as
+            :class:`~repro.instructions.streams.InstructionStreams` (kept
+            as is) or as instruction objects (encoded once, on first use:
+            a plan that is never executed or serialised costs O(1)).
         microbatch_shapes: Padded shape of each micro-batch, indexed by the
             micro-batch ids used inside the instructions.
         metadata: Planner predictions and bookkeeping.
     """
 
-    device_instructions: list[list[PipelineInstruction]]
-    microbatch_shapes: list[MicroBatchShape]
-    metadata: PlanMetadata
+    def __init__(
+        self,
+        device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]],
+        microbatch_shapes: list[MicroBatchShape],
+        metadata: PlanMetadata,
+    ) -> None:
+        self._streams = device_instructions
+        self.microbatch_shapes = microbatch_shapes
+        self.metadata = metadata
+
+    @property
+    def streams(self) -> InstructionStreams:
+        """The instruction streams as columns."""
+        if not isinstance(self._streams, InstructionStreams):
+            self._streams = encode_streams(self._streams)
+        return self._streams
+
+    @property
+    def device_instructions(self) -> list[list[PipelineInstruction]]:
+        """The streams as instruction objects, built on first access and cached."""
+        return self.streams.device_instructions()
 
     @property
     def num_stages(self) -> int:
         """Number of pipeline stages the plan spans."""
-        return len(self.device_instructions)
+        return len(self.streams)
 
     def total_instructions(self) -> int:
         """Total instruction count across devices."""
-        return sum(len(stream) for stream in self.device_instructions)
+        return sum(len(stream) for stream in self.streams)
 
     # ------------------------------------------------------------------ serialisation
 
@@ -95,29 +118,33 @@ class ExecutionPlan:
                 }
                 for shape in self.microbatch_shapes
             ],
-            "device_instructions": [
-                instructions_to_dicts(stream) for stream in self.device_instructions
-            ],
+            **streams_to_payload(self.streams),
         }
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ExecutionPlan":
+    def from_dict(cls, payload: dict[str, Any], job: str | None = None) -> "ExecutionPlan":
         """Rebuild a plan from :meth:`to_dict` output.
 
         Equal micro-batch shapes decode to one shared
         :class:`~repro.model.transformer.MicroBatchShape` per plan.
 
+        Args:
+            payload: The serialised plan.
+            job: Job the payload was fetched for, named in errors.
+
         Raises:
-            ValueError: If the payload is malformed; the message names the
-                missing or invalid field (and, inside an instruction stream,
-                the device and stream position).
+            PlanPayloadError: If the payload is malformed or corrupt; the
+                message names the missing or invalid field, the job,
+                iteration and replica and, inside an instruction stream, the
+                device and stream position.
         """
-        interned: dict[tuple, MicroBatchShape] = {}
+        iteration = replica = None
         try:
             meta = payload["metadata"]
+            iteration, replica = int(meta["iteration"]), int(meta["replica"])
             metadata = PlanMetadata(
-                iteration=int(meta["iteration"]),
-                replica=int(meta["replica"]),
+                iteration=iteration,
+                replica=replica,
                 schedule_name=str(meta["schedule_name"]),
                 recompute=RecomputeMode(meta["recompute"]),
                 predicted_makespan_ms=float(meta["predicted_makespan_ms"]),
@@ -127,19 +154,16 @@ class ExecutionPlan:
                 num_microbatches=int(meta["num_microbatches"]),
                 planning_time_s=float(meta["planning_time_s"]),
             )
-            shapes = [shape_from_dict(raw, interned) for raw in payload["microbatch_shapes"]]
-            raw_streams = payload["device_instructions"]
+            shapes = [
+                MicroBatchShape(int(raw["batch_size"]), int(raw["enc_seq_len"]), int(raw["dec_seq_len"]))
+                for raw in payload["microbatch_shapes"]
+            ]
         except KeyError as err:
-            raise ValueError(f"malformed plan payload: missing field {err.args[0]!r}") from err
+            raise PlanPayloadError(
+                f"missing field {err.args[0]!r}", job, iteration, replica
+            ) from err
         except (TypeError, ValueError) as err:
-            raise ValueError(f"malformed plan payload: {err}") from err
-        streams = [
-            instructions_from_dicts(stream, device, shapes=interned)
-            for device, stream in enumerate(raw_streams)
-        ]
-        return cls(device_instructions=streams, microbatch_shapes=shapes, metadata=metadata)
-
-
-def shapes_of(micro_batches: Sequence) -> list[MicroBatchShape]:
-    """Padded shapes of a sequence of :class:`~repro.batching.base.MicroBatch`."""
-    return [mb.shape() for mb in micro_batches]
+            raise PlanPayloadError(str(err), job, iteration, replica) from err
+        streams = streams_from_payload(payload, len(shapes), job, iteration, replica)
+        interned = {shape: shape for shape in streams.shapes}
+        return cls(streams, [interned.get(shape, shape) for shape in shapes], metadata)

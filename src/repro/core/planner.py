@@ -420,7 +420,7 @@ class DynaPipePlanner:
             schedule, simulation = timeline.finalise(order)
             streams = build_instruction_streams(
                 schedule,
-                simulation.op_times,
+                simulation.op_columns,
                 shapes,
                 transfer_shapes,
                 recompute=mode,

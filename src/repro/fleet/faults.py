@@ -16,9 +16,12 @@ capacity-event machinery as hand-written tests:
   node (:meth:`~repro.cluster.topology.ClusterTopology.node_devices`) dies
   in the same fleet-clock instant, modelling a power/network drop of a
   whole rack, optionally with a common repair delay.
-* ``planner_kill`` / ``store_error`` — planner-side faults: worker kills
-  (degrading pools toward inline planning) and transient plan-payload
-  losses that exercise the retry/backoff path.
+* ``planner_kill`` / ``store_error`` / ``store_corrupt`` — planner-side
+  faults: worker kills (degrading pools toward inline planning), transient
+  plan-payload losses that exercise the retry/backoff path, and fetched
+  plan payloads corrupted in transit (caught by their checksum, then
+  retried the same way).  The seeded generators never draw
+  ``store_corrupt``, so their plans are unchanged by its addition.
 
 Generators build the plans the chaos tests and benchmark replay:
 :func:`failure_storm` draws exponential inter-arrival failure times
@@ -50,7 +53,10 @@ FAULT_KINDS = (
     "rack_outage",
     "planner_kill",
     "store_error",
+    "store_corrupt",
 )
+#: Kinds that fault the planning side (``count`` events at one instant).
+PLANNER_FAULT_KINDS = ("planner_kill", "store_error", "store_corrupt")
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class FaultEvent:
             raise ValueError(f"{self.kind} events need a device index")
         if self.kind == "rack_outage" and self.node is None:
             raise ValueError("rack_outage events need a node index")
-        if self.kind in ("planner_kill", "store_error") and self.count < 1:
+        if self.kind in PLANNER_FAULT_KINDS and self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if self.repair_after_ms is not None and self.repair_after_ms <= 0:
             raise ValueError(f"repair_after_ms must be > 0, got {self.repair_after_ms}")
@@ -200,7 +206,7 @@ class FaultInjector:
                         scheduler.inject_device_repair(
                             event.time_ms + event.repair_after_ms, device
                         )
-            else:  # planner_kill / store_error
+            else:  # planner_kill / store_error / store_corrupt
                 scheduler.inject_planner_fault(
                     event.time_ms, event.kind, count=event.count
                 )

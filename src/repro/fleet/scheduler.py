@@ -82,6 +82,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster.topology import ClusterTopology
+from repro.fleet.faults import PLANNER_FAULT_KINDS
 from repro.fleet.gang import DeviceGang, make_allocator, resolve_fleet_core
 from repro.instructions.store import InstructionStore
 from repro.runtime.planner_pool import PlannerPool
@@ -538,15 +539,18 @@ class FleetScheduler:
           running pooled jobs (in job order) lose their next pending plan
           payload, exercising the :class:`PlanFailedError` → retry/backoff
           path; the next attempt replans the iteration successfully.
+        * ``"store_corrupt"`` — the shared store returns a corrupted copy of
+          the next ``count`` fetched replica plans; the consuming attempt
+          fails to decode it (:class:`PlanPayloadError`), retries and
+          replans.
         """
         if self._ran or self._restored:
             raise RuntimeError("cannot inject cluster events after run()")
         if time_ms < 0:
             raise ValueError(f"time_ms must be >= 0, got {time_ms}")
-        if kind not in ("planner_kill", "store_error"):
+        if kind not in PLANNER_FAULT_KINDS:
             raise ValueError(
-                f"unknown planner fault kind {kind!r}; "
-                "choose 'planner_kill' or 'store_error'"
+                f"unknown planner fault kind {kind!r}; choose from {PLANNER_FAULT_KINDS}"
             )
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
@@ -576,7 +580,7 @@ class FleetScheduler:
         again) is dead; so is a repair for an alive device or an arrival
         for a device already present.
         """
-        if kind in ("planner_kill", "store_error"):
+        if kind in PLANNER_FAULT_KINDS:
             return False
         if kind == "arrival":
             return self.allocator.is_absent(device)
@@ -1388,7 +1392,7 @@ class FleetScheduler:
         repaired early and has failed again since — only the *new*
         failure's own repair may revive it).
         """
-        if kind in ("planner_kill", "store_error"):
+        if kind in PLANNER_FAULT_KINDS:
             # Planner faults ride the capacity heap; ``device`` is the count.
             self._apply_planner_fault(kind, device, clock)
             return
@@ -1414,7 +1418,8 @@ class FleetScheduler:
         their next step.  ``store_error`` drops the next pending plan
         payload of up to ``count`` running pooled jobs (job order), which
         surfaces as a transient :class:`PlanFailedError` on the consumer
-        side and takes the normal retry/backoff path.
+        side and takes the normal retry/backoff path.  ``store_corrupt``
+        arms the shared store to corrupt the next ``count`` fetched plans.
         """
         applied = 0
         if kind == "planner_kill":
@@ -1427,6 +1432,10 @@ class FleetScheduler:
                     if applied >= count:
                         break
                     applied += running.execution.kill_planner_workers(count - applied)
+        elif kind == "store_corrupt":
+            if self.store is not None:
+                self.store.inject_corrupt_payloads(count)
+                applied = count
         else:  # store_error
             if self._shared_pool is not None:
                 for running in sorted(

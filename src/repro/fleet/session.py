@@ -22,9 +22,10 @@ end — finishing its epoch, a mid-iteration device failure, a planning
 failure, a graceful priority eviction or an elastic regrowth at an
 iteration boundary — and it is idempotent; the scheduler guarantees it runs
 exactly once per attempt.  Either way, every planning failure — an
-out-of-memory plan, a DP partition error, or a
+out-of-memory plan, a DP partition error, a
 :class:`~repro.instructions.store.PlanFailedError` marker pushed by a pool
-worker — surfaces as a :class:`JobPlanningError` within one step, which the
+worker, or a corrupt plan payload
+(:class:`~repro.instructions.serialization.PlanPayloadError`) — surfaces as a :class:`JobPlanningError` within one step, which the
 scheduler converts into a bounded job-level retry instead of a hang.
 """
 
@@ -35,6 +36,7 @@ from typing import TYPE_CHECKING
 from repro.batching.metrics import PaddingStats
 from repro.core.dp_solver import PartitionError
 from repro.core.recomputation import OutOfMemoryError
+from repro.instructions.serialization import PlanPayloadError
 from repro.instructions.store import PlanFailedError
 from repro.obs.spans import span as _span
 from repro.runtime.planner_pool import PlannerPool
@@ -48,7 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 #: Exceptions that mean "this attempt cannot produce a plan" (as opposed to
 #: programming errors, which should propagate).
-_PLANNING_ERRORS = (PlanFailedError, OutOfMemoryError, PartitionError, ScheduleDeadlockError)
+_PLANNING_ERRORS = (
+    PlanFailedError,
+    PlanPayloadError,
+    OutOfMemoryError,
+    PartitionError,
+    ScheduleDeadlockError,
+)
 
 
 class JobPlanningError(RuntimeError):

@@ -8,6 +8,11 @@ stream) and a *Wait* op (blocks the compute stream until the transfer has
 finished).  The split is what allows DynaPipe to overlap communication with
 computation while still expressing a deterministic, deadlock-free order of
 transfers on every device.
+
+Plans hold the streams as integer columns (:mod:`repro.instructions.streams`)
+and ship them as a checksummed column payload
+(:mod:`repro.instructions.serialization`); the instruction objects are a
+view built on demand.
 """
 
 from repro.instructions.ops import (
@@ -25,13 +30,8 @@ from repro.instructions.ops import (
     WaitSendAct,
     WaitSendGrad,
 )
-from repro.instructions.serialization import (
-    instruction_from_dict,
-    instruction_signature,
-    instruction_to_dict,
-    instructions_from_dicts,
-    instructions_to_dicts,
-)
+from repro.instructions.serialization import PlanPayloadError, instruction_signature
+from repro.instructions.streams import DeviceStream, InstructionStreams, encode_streams
 from repro.instructions.store import (
     InstructionStore,
     PlanFailedError,
@@ -52,11 +52,11 @@ __all__ = [
     "WaitRecvAct",
     "WaitSendGrad",
     "WaitRecvGrad",
-    "instruction_to_dict",
-    "instruction_from_dict",
     "instruction_signature",
-    "instructions_to_dicts",
-    "instructions_from_dicts",
+    "DeviceStream",
+    "InstructionStreams",
+    "encode_streams",
+    "PlanPayloadError",
     "InstructionStore",
     "PlanNotReadyError",
     "PlanFailedError",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
@@ -44,27 +45,18 @@ class PipelineInstruction:
     Attributes:
         microbatch: Index of the micro-batch the instruction operates on.
         stage: Pipeline stage (device) executing the instruction.
+        is_compute: Whether the instruction occupies the compute stream.
+        is_comm_start: Whether it launches a transfer on the comm stream.
+        is_wait: Whether it blocks compute on a previously launched transfer.
     """
 
     microbatch: int
     stage: int
 
     kind: InstructionKind = field(init=False, repr=False, default=None)  # type: ignore[assignment]
-
-    @property
-    def is_compute(self) -> bool:
-        """Whether the instruction occupies the compute stream."""
-        return isinstance(self, (ForwardPass, BackwardPass))
-
-    @property
-    def is_comm_start(self) -> bool:
-        """Whether the instruction launches a transfer on the comm stream."""
-        return isinstance(self, _CommStart)
-
-    @property
-    def is_wait(self) -> bool:
-        """Whether the instruction blocks compute on a previously launched transfer."""
-        return isinstance(self, _CommWait)
+    is_compute: ClassVar[bool] = False
+    is_comm_start: ClassVar[bool] = False
+    is_wait: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -77,6 +69,7 @@ class ForwardPass(PipelineInstruction):
     """
 
     kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.FORWARD)
+    is_compute: ClassVar[bool] = True
     shape: MicroBatchShape = None  # type: ignore[assignment]
     recompute: RecomputeMode = RecomputeMode.NONE
 
@@ -90,6 +83,7 @@ class BackwardPass(PipelineInstruction):
     """Run the backward computation of a micro-batch on this stage."""
 
     kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.BACKWARD)
+    is_compute: ClassVar[bool] = True
     shape: MicroBatchShape = None  # type: ignore[assignment]
     recompute: RecomputeMode = RecomputeMode.NONE
 
@@ -105,10 +99,15 @@ class _CommStart(PipelineInstruction):
     Attributes:
         peer: The pipeline stage on the other side of the transfer.
         nbytes: Size of the transferred tensor in bytes.
+        direction: Whether the transfer carries activations or gradients.
+        is_send: Whether this device is the sender of the transfer.
     """
 
     peer: int = -1
     nbytes: float = 0.0
+    is_comm_start: ClassVar[bool] = True
+    direction: ClassVar[CommDirection]
+    is_send: ClassVar[bool]
 
     def __post_init__(self) -> None:
         if self.peer < 0:
@@ -116,22 +115,13 @@ class _CommStart(PipelineInstruction):
         if self.nbytes < 0:
             raise ValueError("nbytes must be non-negative")
 
-    @property
-    def direction(self) -> CommDirection:
-        """Whether this transfer carries activations or gradients."""
-        raise NotImplementedError
-
-    @property
-    def is_send(self) -> bool:
-        """Whether this device is the sender of the transfer."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class _CommWait(PipelineInstruction):
     """Base class of Wait communication instructions."""
 
     peer: int = -1
+    is_wait: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.peer < 0:
@@ -143,14 +133,8 @@ class SendActStart(_CommStart):
     """Launch the send of a micro-batch's output activation to ``peer``."""
 
     kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.SEND_ACT_START)
-
-    @property
-    def direction(self) -> CommDirection:
-        return CommDirection.ACTIVATION
-
-    @property
-    def is_send(self) -> bool:
-        return True
+    direction: ClassVar[CommDirection] = CommDirection.ACTIVATION
+    is_send: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -158,14 +142,8 @@ class RecvActStart(_CommStart):
     """Launch the receive of a micro-batch's input activation from ``peer``."""
 
     kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.RECV_ACT_START)
-
-    @property
-    def direction(self) -> CommDirection:
-        return CommDirection.ACTIVATION
-
-    @property
-    def is_send(self) -> bool:
-        return False
+    direction: ClassVar[CommDirection] = CommDirection.ACTIVATION
+    is_send: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -173,14 +151,8 @@ class SendGradStart(_CommStart):
     """Launch the send of a micro-batch's input gradient to ``peer``."""
 
     kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.SEND_GRAD_START)
-
-    @property
-    def direction(self) -> CommDirection:
-        return CommDirection.GRADIENT
-
-    @property
-    def is_send(self) -> bool:
-        return True
+    direction: ClassVar[CommDirection] = CommDirection.GRADIENT
+    is_send: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -188,14 +160,8 @@ class RecvGradStart(_CommStart):
     """Launch the receive of a micro-batch's output gradient from ``peer``."""
 
     kind: InstructionKind = field(init=False, repr=False, default=InstructionKind.RECV_GRAD_START)
-
-    @property
-    def direction(self) -> CommDirection:
-        return CommDirection.GRADIENT
-
-    @property
-    def is_send(self) -> bool:
-        return False
+    direction: ClassVar[CommDirection] = CommDirection.GRADIENT
+    is_send: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)

@@ -1,115 +1,74 @@
-"""Instruction and execution-plan (de)serialisation.
+"""The column payload of instruction streams, and instruction signatures.
 
 The real DynaPipe pushes execution plans to a Redis instance where the
-executors fetch them; the plans therefore must be serialisable.  The same
-constraint is kept here: every instruction round-trips through plain
-dictionaries (JSON compatible), which also makes plans easy to inspect and
-diff in tests.
+executors fetch them, so plans must be serialisable.  A plan's streams
+travel as their integer columns (see :mod:`repro.instructions.streams`):
+JSON int lists per device plus one float list of transfer bytes, the shape
+table as ``[batch_size, enc_seq_len, dec_seq_len]`` triples, a format
+version and a CRC32 checksum over the table's and the columns' little-endian
+int64/float64 bytes.  Decoding checks the version, the column lengths and types, every
+value's range and the checksum, and reports a bad payload as a
+:class:`PlanPayloadError` naming job, iteration, replica, device and stream
+position.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+import struct
+import zlib
+from itertools import chain
+from typing import Any
 
-from repro.instructions.ops import (
-    INSTRUCTION_CLASSES,
-    BackwardPass,
-    ForwardPass,
-    PipelineInstruction,
-    _CommStart,
-    _CommWait,
+import numpy as np
+
+from repro.instructions.ops import PipelineInstruction
+from repro.instructions.streams import (
+    FIRST_START,
+    KINDS,
+    NONE,
+    RECOMPUTE_MODES,
+    DeviceStream,
+    InstructionStreams,
 )
-from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
 
-
-def instruction_to_dict(instruction: PipelineInstruction) -> dict[str, Any]:
-    """Convert an instruction to a JSON-compatible dictionary."""
-    payload: dict[str, Any] = {
-        "kind": instruction.kind.value,
-        "microbatch": instruction.microbatch,
-        "stage": instruction.stage,
-    }
-    if isinstance(instruction, (ForwardPass, BackwardPass)):
-        payload["shape"] = {
-            "batch_size": instruction.shape.batch_size,
-            "enc_seq_len": instruction.shape.enc_seq_len,
-            "dec_seq_len": instruction.shape.dec_seq_len,
-        }
-        payload["recompute"] = instruction.recompute.value
-    elif isinstance(instruction, _CommStart):
-        payload["peer"] = instruction.peer
-        payload["nbytes"] = instruction.nbytes
-    elif isinstance(instruction, _CommWait):
-        payload["peer"] = instruction.peer
-    return payload
+#: Version of the plan payload layout (the per-instruction dictionaries that
+#: came before it were version 1).
+PLAN_FORMAT = 2
+#: Columns of a device stream; the integer ones first, in checksum order.
+COLUMNS = ("op", "microbatch", "peer", "shape", "recompute", "nbytes")
 
 
-#: Wire ``kind`` -> (instruction class, payload layout).
-_COMPUTE, _START, _WAIT = range(3)
-_DECODERS: dict[str, tuple[type[PipelineInstruction], int]] = {
-    kind.value: (
-        cls,
-        _COMPUTE
-        if cls in (ForwardPass, BackwardPass)
-        else _START if issubclass(cls, _CommStart) else _WAIT,
-    )
-    for kind, cls in INSTRUCTION_CLASSES.items()
-}
-_RECOMPUTE_MODES = {mode.value: mode for mode in RecomputeMode}
+class PlanPayloadError(ValueError):
+    """A plan payload is malformed or corrupt.
 
-
-def shape_from_dict(
-    payload: dict[str, Any], shapes: dict[tuple, MicroBatchShape]
-) -> MicroBatchShape:
-    """The shape a ``{batch_size, enc_seq_len, dec_seq_len}`` dictionary
-    describes; ``shapes`` interns equal shapes into one object."""
-    key = (payload["batch_size"], payload["enc_seq_len"], payload["dec_seq_len"])
-    shape = shapes.get(key)
-    if shape is None:
-        shape = shapes[key] = MicroBatchShape(int(key[0]), int(key[1]), int(key[2]))
-    return shape
-
-
-def _decode(
-    payload: dict[str, Any], shapes: dict[tuple, MicroBatchShape]
-) -> PipelineInstruction:
-    """One instruction from its dictionary; ``shapes`` interns equal shapes."""
-    kind = payload["kind"]
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
-        raise ValueError(f"unknown instruction kind {kind!r}")
-    cls, layout = decoder
-    microbatch, stage = int(payload["microbatch"]), int(payload["stage"])
-    if layout == _COMPUTE:
-        shape = shape_from_dict(payload["shape"], shapes)
-        value = payload.get("recompute", "none")
-        recompute = _RECOMPUTE_MODES.get(value) or RecomputeMode(value)
-        return cls(microbatch, stage, shape, recompute)  # type: ignore[call-arg]
-    if layout == _START:
-        return cls(microbatch, stage, int(payload["peer"]), float(payload["nbytes"]))  # type: ignore[call-arg]
-    return cls(microbatch, stage, int(payload["peer"]))  # type: ignore[call-arg]
-
-
-def instruction_from_dict(payload: dict[str, Any]) -> PipelineInstruction:
-    """Rebuild an instruction from :func:`instruction_to_dict` output.
-
-    Raises:
-        ValueError: If the payload is malformed (unknown kind, missing or
-            invalid field); the message names the device (the payload's
-            stage), the stream position and the field.
+    Attributes:
+        job / iteration / replica: The plan the payload claims to be
+            (``None`` where unknown).
+        device / position: Where in the instruction streams the fault is
+            (``None`` when it is not in one stream position).
     """
-    return instructions_from_dicts([payload])[0]
+
+    def __init__(self, problem, job=None, iteration=None, replica=None, device=None, position=None):
+        def show(value):
+            return "?" if value is None else value
+
+        super().__init__(
+            f"malformed plan payload: {problem} (job {show(job)!r}, iteration {show(iteration)}, "
+            f"replica {show(replica)}, device {show(device)}, position {show(position)})"
+        )
+        self.job, self.iteration, self.replica = job, iteration, replica
+        self.device, self.position = device, position
 
 
 def instruction_signature(instruction: PipelineInstruction) -> tuple[str, int, int, int]:
     """Canonical identity of an instruction: ``(kind, microbatch, stage, peer)``.
 
-    Signatures survive serialisation round-trips and process boundaries
-    unchanged (they carry no shapes or byte counts), so execution backends
-    use them to report per-device completion order and differential
-    harnesses compare the reports across backends.  Compute instructions
-    use ``peer = -1``.
+    Signatures carry no shapes or byte counts, so execution backends use them
+    to report per-device completion order and differential harnesses compare
+    the reports across backends.  Compute instructions use ``peer = -1``,
+    exactly the column value, so a column stream's signatures are
+    ``(KIND_VALUES[op], microbatch, device, peer)``.
     """
     return (
         instruction.kind.value,
@@ -119,41 +78,145 @@ def instruction_signature(instruction: PipelineInstruction) -> tuple[str, int, i
     )
 
 
-def instructions_to_dicts(instructions: Iterable[PipelineInstruction]) -> list[dict[str, Any]]:
-    """Serialise a sequence of instructions."""
-    return [instruction_to_dict(instruction) for instruction in instructions]
+def _packed(devices: list[list[list]]) -> tuple[bytes, bytes]:
+    """Every device's integer columns, column by column, as little-endian
+    int64, then every device's bytes column as float64 (``struct.error`` on
+    a value that is not one)."""
+    count = sum(len(columns[0]) for columns in devices)
+    ints = chain.from_iterable(columns[c] for c in range(5) for columns in devices)
+    floats = chain.from_iterable(columns[5] for columns in devices)
+    return struct.pack(f"<{5 * count}q", *ints), struct.pack(f"<{count}d", *floats)
 
 
-def instructions_from_dicts(
-    payloads: Sequence[dict[str, Any]],
-    device: int | None = None,
-    shapes: dict[tuple, MicroBatchShape] | None = None,
-) -> list[PipelineInstruction]:
-    """Deserialise one device's instruction stream.
+def _checksum(table: list[list[int]], ints: bytes, floats: bytes) -> int:
+    """CRC32 over the shape table's and the columns' little-endian bytes."""
+    flat = struct.pack(f"<{3 * len(table)}q", *chain.from_iterable(table))
+    return zlib.crc32(floats, zlib.crc32(ints, zlib.crc32(flat)))
 
-    Equal micro-batch shapes decode to one shared
-    :class:`~repro.model.transformer.MicroBatchShape`; pass the same
-    ``shapes`` dictionary for every stream of a plan to share them across
-    devices.
+
+def streams_to_payload(streams: InstructionStreams) -> dict[str, Any]:
+    """The JSON-compatible payload fields of ``streams``."""
+    table = [[s.batch_size, s.enc_seq_len, s.dec_seq_len] for s in streams.shapes]
+    devices = [[getattr(stream, name) for name in COLUMNS] for stream in streams]
+    return {
+        "format": PLAN_FORMAT,
+        "shapes": table,
+        "device_instructions": [
+            {name: list(column) for name, column in zip(COLUMNS, columns)} for columns in devices
+        ],
+        "checksum": _checksum(table, *_packed(devices)),
+    }
+
+
+def streams_from_payload(
+    payload: dict[str, Any],
+    num_microbatches: int,
+    job=None,
+    iteration=None,
+    replica=None,
+) -> InstructionStreams:
+    """Decode and verify the streams of a :func:`streams_to_payload` payload.
+
+    Micro-batch ids must lie in ``[0, num_microbatches)``.
 
     Raises:
-        ValueError: If a payload is malformed; the message names the device
-            (``device``, else the payload's stage), the payload's position
-            in the stream and the field.
+        PlanPayloadError: On an unknown format version, a missing field,
+            columns of unequal length, a non-integer entry, an unknown
+            opcode, a micro-batch, peer, shape index or recompute code out
+            of range, negative bytes or a checksum mismatch.
     """
-    if shapes is None:
-        shapes = {}
-    decoded = []
+
+    def fail(problem, device=None, position=None):
+        return PlanPayloadError(problem, job, iteration, replica, device, position)
+
+    if payload.get("format") != PLAN_FORMAT:
+        raise fail(f"unknown format version {payload.get('format')!r} (expected {PLAN_FORMAT})")
     try:
-        for payload in payloads:
-            decoded.append(_decode(payload, shapes))
-    except (KeyError, TypeError, ValueError) as err:
-        payload = payloads[len(decoded)]
-        if device is None:
-            device = payload.get("stage", "?") if isinstance(payload, dict) else "?"
-        problem = f"missing field {err.args[0]!r}" if isinstance(err, KeyError) else str(err)
-        raise ValueError(
-            f"malformed instruction payload on device {device} at stream position "
-            f"{len(decoded)}: {problem}"
-        ) from err
-    return decoded
+        raw_table, raw_devices, checksum = (
+            payload["shapes"], payload["device_instructions"], payload["checksum"]
+        )
+        if any(not isinstance(entry, list) or len(entry) != 3 for entry in raw_table):
+            raise ValueError("a shape is not 3 integers")
+        struct.pack(f"<{3 * len(raw_table)}q", *chain.from_iterable(raw_table))  # int64s only
+        shapes = [MicroBatchShape(*entry) for entry in raw_table]
+        limits = (num_microbatches, len(raw_devices), len(shapes))
+    except KeyError as err:
+        raise fail(f"missing field {err.args[0]!r}") from None
+    except (TypeError, ValueError, struct.error) as err:
+        raise fail(f"bad shape table or streams: {err}") from None
+    devices = []
+    for device, raw in enumerate(raw_devices):
+        try:
+            columns = [list(raw[name]) for name in COLUMNS]
+        except KeyError as err:
+            raise fail(f"missing field {err.args[0]!r}", device) from None
+        except TypeError:
+            raise fail("device stream is not a mapping of column lists", device) from None
+        lengths = [len(column) for column in columns]
+        if min(lengths) != max(lengths):
+            shown = ", ".join(f"{name} {length}" for name, length in zip(COLUMNS, lengths))
+            raise fail(f"columns of unequal length ({shown})", device, min(lengths))
+        devices.append(columns)
+    try:
+        ints, floats = _packed(devices)
+        bad = _out_of_range(ints, floats, *limits)
+    except struct.error:
+        bad = True
+    if bad:
+        device, position, problem = next(
+            (device, position, problem)
+            for device, columns in enumerate(devices)
+            for position, values in enumerate(zip(*columns))
+            if (problem := _problem(values, *limits))
+        )
+        raise fail(problem, device, position)
+    computed = _checksum(raw_table, ints, floats)
+    if computed != checksum:
+        raise fail(f"checksum mismatch (payload {checksum!r}, columns {computed})")
+    return InstructionStreams(
+        [DeviceStream(device, *columns, shapes) for device, columns in enumerate(devices)], shapes
+    )
+
+
+def _out_of_range(ints: bytes, floats: bytes, num_microbatches, num_devices, num_shapes) -> bool:
+    """Whether any stream position holds a value out of its field's range."""
+    op, microbatch, peer, shape, recompute = np.frombuffer(ints, dtype="<i8").reshape(5, -1)
+    compute = op < FIRST_START
+    bad = (op < 0) | (op >= len(KINDS)) | (microbatch < 0) | (microbatch >= num_microbatches)
+    bad |= ~(np.frombuffer(floats, dtype="<f8") >= 0.0)
+    bad |= np.where(
+        compute,
+        (peer != NONE) | (shape < 0) | (shape >= num_shapes)
+        | (recompute < 0) | (recompute >= len(RECOMPUTE_MODES)),
+        (peer < 0) | (peer >= num_devices) | (shape != NONE) | (recompute != NONE),
+    )
+    return bool(bad.any())
+
+
+def _problem(values, num_microbatches, num_devices, num_shapes) -> str | None:
+    """What is wrong with one stream position's values (``None``: nothing)."""
+    for name, value in zip(COLUMNS, values):
+        if name == "nbytes":
+            if type(value) not in (int, float):
+                return f"nbytes entry {value!r} is not a number"
+        elif type(value) is not int or not -(2**63) <= value < 2**63:
+            return f"{name} entry {value!r} is not an integer"
+    code, microbatch, peer, shape, recompute, nbytes = values
+    if not 0 <= code < len(KINDS):
+        return f"unknown opcode {code}"
+    if not 0 <= microbatch < num_microbatches:
+        return f"micro-batch {microbatch} out of range [0, {num_microbatches})"
+    if not nbytes >= 0.0:
+        return f"nbytes {nbytes!r} is negative"
+    if code < FIRST_START:
+        if peer != NONE:
+            return f"compute op with peer {peer}"
+        if not 0 <= shape < num_shapes:
+            return f"shape index {shape} out of range [0, {num_shapes})"
+        if not 0 <= recompute < len(RECOMPUTE_MODES):
+            return f"recompute code {recompute} out of range [0, {len(RECOMPUTE_MODES)})"
+    elif not 0 <= peer < num_devices:
+        return f"peer {peer} out of range [0, {num_devices})"
+    elif shape != NONE or recompute != NONE:
+        return f"communication op with shape index {shape} or recompute code {recompute}"
+    return None

@@ -25,6 +25,7 @@ old marker masking the new plan forever.
 
 from __future__ import annotations
 
+import copy
 import threading
 from typing import Any, Iterator
 
@@ -85,9 +86,9 @@ class InstructionStore:
     """Key/value store for serialised execution plans.
 
     Keys are ``(job, iteration, executor_rank)`` triples; values are
-    arbitrary JSON-compatible payloads (typically the output of
-    :func:`repro.instructions.serialization.instructions_to_dicts` plus plan
-    metadata).  The store is thread-safe so that a planner pool and executor
+    JSON-compatible payloads (typically
+    :meth:`~repro.core.execution_plan.ExecutionPlan.to_dict` output: plan
+    metadata plus the instruction streams as checksummed integer columns).  The store is thread-safe so that a planner pool and executor
     threads can share it, mirroring the CPU-planner / GPU-executor overlap of
     the real system; one store instance can back a whole fleet of jobs, each
     isolated in its own namespace.
@@ -99,6 +100,7 @@ class InstructionStore:
         self._failures: dict[tuple[str, int], str] = {}
         self._transient_errors = 0
         self._transient_message = ""
+        self._corrupt_fetches = 0
 
     def inject_transient_errors(
         self, count: int = 1, message: str = "injected transient store error"
@@ -117,6 +119,17 @@ class InstructionStore:
         with self._lock:
             self._transient_errors += count
             self._transient_message = message
+
+    def inject_corrupt_payloads(self, count: int = 1) -> None:
+        """Arm the next ``count`` successful :meth:`fetch` calls to return a
+        corrupted copy of the plan: its ``checksum`` has one bit flipped, as
+        bit rot in transit would, so decoding it raises
+        :class:`~repro.instructions.serialization.PlanPayloadError`.  The
+        stored plan itself stays intact."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        with self._lock:
+            self._corrupt_fetches += count
 
     def push(
         self, iteration: int, executor_rank: int, plan: Any, job: str = DEFAULT_JOB
@@ -175,13 +188,18 @@ class InstructionStore:
                 )
             _STORE_STATS["fetches"] += 1
             try:
-                return self._plans[(job, iteration, executor_rank)]
+                plan = self._plans[(job, iteration, executor_rank)]
             except KeyError as exc:
                 _STORE_STATS["fetch_misses"] += 1
                 raise PlanNotReadyError(
                     f"no plan for iteration {iteration}, executor {executor_rank}"
                     + (f", job {job!r}" if job != DEFAULT_JOB else "")
                 ) from exc
+            if self._corrupt_fetches > 0:
+                self._corrupt_fetches -= 1
+                plan = copy.deepcopy(plan)
+                plan["checksum"] = plan.get("checksum", 0) ^ 1
+            return plan
 
     def ready(self, iteration: int, executor_rank: int, job: str = DEFAULT_JOB) -> bool:
         """Whether a fetch for the key would return.

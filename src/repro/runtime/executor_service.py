@@ -95,8 +95,8 @@ class ExecutorService:
             noise_std=self.noise_std,
             seed=int(self._rng.integers(0, 2**31 - 1)),
         )
-        options = self._ground_truth.backend_options(plan.device_instructions, gpu)
-        return get_backend("sim", options).run(plan.device_instructions)
+        options = self._ground_truth.backend_options(plan.streams, gpu)
+        return get_backend("sim", options).run(plan.streams)
 
     # ------------------------------------------------------------------ API
 

@@ -56,7 +56,12 @@ from typing import Any, Protocol, Sequence
 
 from repro.core.planner import DynaPipePlanner, IterationPlan
 from repro.data.tasks import Sample
-from repro.instructions.store import DEFAULT_JOB, InstructionStore, PlanFailedError
+from repro.instructions.store import (
+    DEFAULT_JOB,
+    InstructionStore,
+    PlanFailedError,
+    StoreTransientError,
+)
 from repro.obs import state as _obs_state
 from repro.obs.events import publish as _publish
 from repro.obs.registry import REGISTRY, aggregate_snapshots
@@ -1160,6 +1165,8 @@ class PlannerPool:
     ) -> dict[str, Any]:
         """Block until ``(job, iteration)`` is planned and return its payload.
 
+        The replica plans are fetched from the store, as executors fetch them.
+
         Raises:
             RuntimeError: If the stream does not retain payloads (the legacy
                 stream of a pool built with an external store; poll the
@@ -1179,19 +1186,25 @@ class PlannerPool:
         while True:
             with self._lock:
                 payload = stream.payloads.get(iteration)
-                failure = next(
-                    (error for it, error in stream.errors if it == iteration), None
-                )
-                if failure is None:
-                    failure = self._pool_failure
-            if failure is None and self._started and self.live_workers() == 0:
+                if payload is not None:
+                    replicas = range(len(payload["replicas"]))
+                    try:
+                        fetched = [self.store.fetch(iteration, r, job=job) for r in replicas]
+                        return dict(payload, replicas=fetched)
+                    except StoreTransientError:
+                        failure = None  # retryable: poll again
+                else:
+                    failure = next(
+                        (error for it, error in stream.errors if it == iteration), None
+                    )
+                    if failure is None:
+                        failure = self._pool_failure
+            if payload is None and failure is None and self._started and self.live_workers() == 0:
                 # Every worker is gone (e.g. killed by the chaos harness)
                 # and the iteration is neither planned nor failed: nothing
                 # will ever serve it, so fail fast instead of spinning out
                 # the full timeout.
                 failure = RuntimeError("all planner workers are dead")
-            if payload is not None:
-                return payload
             if failure is not None:
                 raise PlanFailedError(
                     f"planning failed for iteration {iteration}: {failure}",

@@ -89,6 +89,9 @@ class SimulationResult:
         peak_activation_bytes: Peak activation memory per device (excludes
             static memory unless the caller passes it via the tracker).
         trace: Flat execution trace for rendering / export.
+        op_columns: ``(starts, ends)`` arrays in ``schedule.all_ops()``
+            order when the result wraps a compiled-timeline solve, else
+            ``None``.
 
     ``op_times`` may be built lazily from the vectorized solver's arrays
     (``materialize``), and ``trace`` lazily from ``op_times``; all other
@@ -104,7 +107,9 @@ class SimulationResult:
         peak_activation_bytes: list[float] | None = None,
         trace: ExecutionTrace | None = None,
         materialize: Callable[[], dict[ComputeOp, tuple[float, float]]] | None = None,
+        op_columns: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
+        self.op_columns = op_columns
         self._op_times = op_times
         self._trace = trace
         self._materialize = materialize
@@ -275,6 +280,7 @@ def timeline_result(
         device_idle_ms=idle,
         peak_activation_bytes=peaks,
         materialize=materialize,
+        op_columns=(starts, ends),
     )
 
 

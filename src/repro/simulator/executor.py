@@ -20,16 +20,18 @@ detects this and raises :class:`CommunicationDeadlockError`, which is how
 the reproduction demonstrates that naive communication ordering breaks
 dynamic pipelines while DynaPipe's planned ordering does not.
 
-:meth:`InstructionExecutor.run` first lowers every device stream into a
-flat program of integer-coded steps (one class → opcode lookup per
-instruction): each ``*Start``/``Wait*`` carries the integer id of its
-transfer, and each ``*Start`` the integer id of its channel.  The execution
-is then a round-robin sweep over the devices — each runs until it blocks on
-a ``Wait*`` whose transfer has not completed — followed by FIFO head
-matching over the channels in the order they were first posted to.  That
-order is also the order in which ``compute_duration_fn`` is called, so a
-noisy duration function draws its noise in a fixed, reproducible order.
-Trace events are kept as tuples and built into
+:meth:`InstructionExecutor.run` takes the streams as integer columns
+(:mod:`repro.instructions.streams`; object streams are encoded once at the
+call) and lowers them into a flat program of steps: each ``*Start``/``Wait*``
+carries the integer id of its transfer, and each ``*Start`` the integer id
+of its channel.  The execution is then a round-robin sweep over the devices
+— each runs until it blocks on a ``Wait*`` whose transfer has not completed
+— followed by FIFO head matching over the channels in the order they were
+first posted to.  That order is also the order in which the compute
+duration is drawn, so a noisy duration draws its noise in a fixed,
+reproducible order.  Compute costs come either from per-instruction
+callbacks or from a :class:`RowCost`, which prices each compute op by row
+straight from the columns.  Trace events are kept as tuples and built into
 :class:`~repro.simulator.trace.TraceEvent` objects only when
 :attr:`ExecutionResult.trace` is read.
 """
@@ -39,21 +41,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Sequence
 
-from repro.instructions.ops import (
-    BackwardPass,
-    CommDirection,
-    ForwardPass,
-    PipelineInstruction,
-    RecvActStart,
-    RecvGradStart,
-    SendActStart,
-    SendGradStart,
-    WaitRecvAct,
-    WaitRecvGrad,
-    WaitSendAct,
-    WaitSendGrad,
-    _CommStart,
-    _CommWait,
+from repro.instructions.ops import CommDirection, PipelineInstruction
+from repro.instructions.streams import (
+    BACKWARD,
+    FIRST_WAIT,
+    FORWARD,
+    KIND_VALUES,
+    InstructionStreams,
+    encode_streams,
+    transfer_key,
 )
 from repro.simulator.memory_tracker import MemoryTracker
 from repro.simulator.trace import ExecutionTrace, TraceEvent
@@ -91,17 +87,16 @@ class CommunicationDeadlockError(RuntimeError):
         self.blocked_detail = blocked_detail or []
 
 
-def blocked_instruction_detail(
-    device: int, instr: PipelineInstruction
-) -> dict:
+def blocked_detail(device: int, code: int, microbatch: int, peer: int) -> dict:
     """The :attr:`CommunicationDeadlockError.blocked_detail` entry for a
-    device stuck on ``instr`` (shared by the simulator and real backends)."""
+    device stuck on the op with opcode ``code`` (shared by the simulator and
+    real backends)."""
     return {
         "device": device,
-        "kind": instr.kind.value,
-        "microbatch": instr.microbatch,
-        "stage": instr.stage,
-        "peer": getattr(instr, "peer", -1),
+        "kind": KIND_VALUES[code],
+        "microbatch": microbatch,
+        "stage": device,
+        "peer": peer,
     }
 
 
@@ -175,53 +170,53 @@ class ExecutionResult:
         return sum(idle) / (len(idle) * self.makespan_ms)
 
 
-def _transfer_key_for_start(instr: _CommStart) -> TransferKey:
-    """Canonical transfer key for a Start instruction."""
-    if instr.is_send:
-        return (instr.stage, instr.peer, instr.microbatch, instr.direction)
-    return (instr.peer, instr.stage, instr.microbatch, instr.direction)
+class RowCost:
+    """A compute cost priced by row straight from the instruction columns.
+
+    ``rows(streams)[device][position]`` is the row of each compute op of
+    ``streams``, ``row_of(instr)`` that of one instruction object (in the
+    streams or not) and ``at(row)`` the cost, so a :class:`RowCost` also
+    serves as a per-instruction callback.  The executors price a compute op
+    as ``at(row)``, called exactly where they would call a per-instruction
+    callback.
+    """
+
+    def __init__(
+        self,
+        rows: Callable[[InstructionStreams], list[list[int]]],
+        row_of: Callable[[PipelineInstruction], int],
+        at: Callable[[int], float],
+    ) -> None:
+        self.rows, self.row_of, self.at = rows, row_of, at
+
+    def __call__(self, instr: PipelineInstruction) -> float:
+        return self.at(self.row_of(instr))
 
 
-def _transfer_key_for_wait(instr: _CommWait) -> TransferKey:
-    """Canonical transfer key for a Wait instruction."""
-    if isinstance(instr, (WaitSendAct, WaitSendGrad)):
-        direction = (
-            CommDirection.ACTIVATION if isinstance(instr, WaitSendAct) else CommDirection.GRADIENT
-        )
-        return (instr.stage, instr.peer, instr.microbatch, direction)
-    direction = (
-        CommDirection.ACTIVATION if isinstance(instr, WaitRecvAct) else CommDirection.GRADIENT
-    )
-    return (instr.peer, instr.stage, instr.microbatch, direction)
+def compute_pricing(
+    cost: Callable[[PipelineInstruction], float], streams: InstructionStreams
+) -> tuple[Callable, list[list]]:
+    """``(call, args)`` pricing the compute op at ``(device, position)`` of
+    ``streams`` as ``call(args[device][position])``."""
+    if isinstance(cost, RowCost):
+        return cost.at, cost.rows(streams)
+    return cost, streams.device_instructions()
 
 
 # Opcodes of a lowered program step.
 _FORWARD, _BACKWARD, _START, _WAIT = range(4)
 
-#: ISA class -> (opcode, whether this side sends, transfer direction).
-_LOWERING: dict[type, tuple[int, bool, CommDirection | None]] = {
-    ForwardPass: (_FORWARD, False, None),
-    BackwardPass: (_BACKWARD, False, None),
-    SendActStart: (_START, True, CommDirection.ACTIVATION),
-    RecvActStart: (_START, False, CommDirection.ACTIVATION),
-    SendGradStart: (_START, True, CommDirection.GRADIENT),
-    RecvGradStart: (_START, False, CommDirection.GRADIENT),
-    WaitSendAct: (_WAIT, True, CommDirection.ACTIVATION),
-    WaitRecvAct: (_WAIT, False, CommDirection.ACTIVATION),
-    WaitSendGrad: (_WAIT, True, CommDirection.GRADIENT),
-    WaitRecvGrad: (_WAIT, False, CommDirection.GRADIENT),
-}
-
 _SEND_PREFIX = {CommDirection.ACTIVATION: "send-act-", CommDirection.GRADIENT: "send-grad-"}
 
 
 class _Program:
-    """Device streams lowered to integer-coded steps.
+    """Column streams lowered to integer-coded steps.
 
     A step is a tuple whose first item is the opcode:
 
-    * ``(_FORWARD, instr, microbatch, activation_bytes)`` and
-      ``(_BACKWARD, instr, microbatch, 0.0)``;
+    * ``(_FORWARD, cost, microbatch, activation_bytes)`` and
+      ``(_BACKWARD, cost, microbatch, 0.0)``, where ``cost`` is the
+      duration pricing's argument for the op;
     * ``(_START, transfer, channel, side, is_send, nbytes)``, where ``side``
       picks the channel's FIFO this device posts to;
     * ``(_WAIT, transfer)``.
@@ -230,57 +225,42 @@ class _Program:
     ``channels[c]`` channel ``c``'s ``(low, high)`` device pair.
     """
 
-    def __init__(
-        self,
-        device_instructions: Sequence[Sequence[PipelineInstruction]],
-        activation_bytes_fn: Callable[[PipelineInstruction], float] | None,
-    ) -> None:
+    def __init__(self, streams: InstructionStreams, duration_args: list[list], activation) -> None:
         transfer_ids: dict[TransferKey, int] = {}
         channel_ids: dict[tuple[int, int], int] = {}
         self.transfers: list[TransferKey] = []
         self.channels: list[tuple[int, int]] = []
         self.steps: list[list[tuple]] = []
-        for device, stream in enumerate(device_instructions):
+        activation_fn, activation_args = activation or (None, None)
+        for device, stream in enumerate(streams):
+            costs = duration_args[device]
+            sizes = activation_args[device] if activation_fn is not None else None
             steps = []
-            for position, instr in enumerate(stream):
-                entry = _LOWERING.get(type(instr))
-                if entry is None:
-                    raise TypeError(f"unknown instruction type {type(instr).__name__}")
-                code, is_send, direction = entry
-                if code == _FORWARD:
-                    nbytes = 0.0
-                    if activation_bytes_fn is not None:
-                        nbytes = activation_bytes_fn(instr)
-                    steps.append((code, instr, instr.microbatch, nbytes))
+            for position, (code, microbatch, peer, nbytes) in enumerate(
+                zip(stream.op, stream.microbatch, stream.peer, stream.nbytes)
+            ):
+                if code == FORWARD:
+                    size = activation_fn(sizes[position]) if sizes is not None else 0.0
+                    steps.append((_FORWARD, costs[position], microbatch, size))
                     continue
-                if code == _BACKWARD:
-                    steps.append((code, instr, instr.microbatch, 0.0))
+                if code == BACKWARD:
+                    steps.append((_BACKWARD, costs[position], microbatch, 0.0))
                     continue
-                stage, peer = instr.stage, instr.peer
-                key = (
-                    (stage, peer, instr.microbatch, direction)
-                    if is_send
-                    else (peer, stage, instr.microbatch, direction)
-                )
+                key = transfer_key(code, device, peer, microbatch)
                 transfer = transfer_ids.get(key)
                 if transfer is None:
                     transfer = transfer_ids[key] = len(self.transfers)
                     self.transfers.append(key)
-                if code == _WAIT:
-                    steps.append((code, transfer))
+                if code >= FIRST_WAIT:
+                    steps.append((_WAIT, transfer))
                     continue
-                pair = (stage, peer) if stage < peer else (peer, stage)
-                if device not in pair:
-                    raise ValueError(
-                        f"device {device} posts {instr.kind.value} at position {position} "
-                        f"on channel {pair}, which it is not an end of"
-                    )
+                pair = (device, peer) if device < peer else (peer, device)
                 channel = channel_ids.get(pair)
                 if channel is None:
                     channel = channel_ids[pair] = len(self.channels)
                     self.channels.append(pair)
                 steps.append(
-                    (code, transfer, channel, 0 if device == pair[0] else 1, is_send, instr.nbytes)
+                    (_START, transfer, channel, 0 if device == pair[0] else 1, code % 2 == 0, nbytes)
                 )
             self.steps.append(steps)
 
@@ -289,14 +269,16 @@ class InstructionExecutor:
     """Executes per-device instruction streams against simulated devices.
 
     Args:
-        compute_duration_fn: Maps Forward/Backward instructions to ms.  It is
-            called once per compute instruction, in execution order.
+        compute_duration_fn: Maps Forward/Backward instructions to ms (or a
+            :class:`RowCost`).  It is called once per compute instruction,
+            in execution order.
         transfer_time_fn: Maps (nbytes, src, dst) to transfer ms; called once
             per completed transfer, in completion order.
         activation_bytes_fn: Maps a ForwardPass to the activation bytes it
             allocates on its stage (its BackwardPass frees them); optional.
             It must not depend on call order: it is called once per
-            ForwardPass while the streams are lowered, before the run.
+            ForwardPass while the streams are lowered, before the run.  A
+            :class:`RowCost` prices it from the columns instead.
         static_bytes: Per-device static memory for the trackers.
         device_capacity: Optional per-device capacity; exceeding it is
             recorded in the memory trackers (not fatal, matching how the
@@ -318,10 +300,14 @@ class InstructionExecutor:
         self.static_bytes = static_bytes
         self.device_capacity = device_capacity
 
-    def run(self, device_instructions: Sequence[Sequence[PipelineInstruction]]) -> ExecutionResult:
+    def run(
+        self, device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]]
+    ) -> ExecutionResult:
         """Execute the instruction streams of all devices.
 
         Raises:
+            ValueError: If an instruction object sits in the stream of a
+                device other than its stage.
             CommunicationDeadlockError: If the communication orders posted by
                 adjacent devices can never be matched, or every device is
                 blocked on a transfer that will never be posted.
@@ -329,11 +315,17 @@ class InstructionExecutor:
                 frees activations it never allocated or allocates a
                 micro-batch's activations twice.
         """
-        program = _Program(device_instructions, self.activation_bytes_fn)
+        streams = encode_streams(device_instructions)
+        duration_fn, duration_args = compute_pricing(self.compute_duration_fn, streams)
+        activation = (
+            compute_pricing(self.activation_bytes_fn, streams)
+            if self.activation_bytes_fn is not None
+            else None
+        )
+        program = _Program(streams, duration_args, activation)
         programs = program.steps
         transfers = program.transfers
         num_devices = len(programs)
-        duration_fn = self.compute_duration_fn
         transfer_time_fn = self.transfer_time_fn
         track_memory = self.activation_bytes_fn is not None
 
@@ -439,7 +431,7 @@ class InstructionExecutor:
                     progressed = True
 
             if not progressed:
-                self._raise_deadlock(device_instructions, pointers, program, fifos, posted_order)
+                self._raise_deadlock(streams, pointers, program, fifos, posted_order)
 
         return ExecutionResult(
             makespan_ms=max(clocks) if clocks else 0.0,
@@ -451,7 +443,7 @@ class InstructionExecutor:
         )
 
     @staticmethod
-    def _raise_deadlock(device_instructions, pointers, program, fifos, posted_order) -> None:
+    def _raise_deadlock(streams, pointers, program, fifos, posted_order) -> None:
         """Raise the :class:`CommunicationDeadlockError` of a stalled run."""
         # Channels whose heads are both posted but can never match.
         mismatched = []
@@ -461,16 +453,18 @@ class InstructionExecutor:
                 head_a, head_b = side_a[0], side_b[0]
                 if head_a[0] != head_b[0] or head_a[1] == head_b[1]:
                     mismatched.append(program.channels[channel])
-        blocked = [
-            d for d in range(len(device_instructions))
-            if pointers[d] < len(device_instructions[d])
-        ]
+        blocked = [d for d in range(len(streams)) if pointers[d] < len(streams[d])]
         # A blocked device always sits on a Wait (everything else executes
         # eagerly), so the head of its remaining stream is the op that hung.
-        blocked_detail = [
-            blocked_instruction_detail(d, device_instructions[d][pointers[d]]) for d in blocked
-        ]
-        blocked_summary = describe_blocked_detail(blocked_detail)
+        details = []
+        for d in blocked:
+            stream, position = streams[d], pointers[d]
+            details.append(
+                blocked_detail(
+                    d, stream.op[position], stream.microbatch[position], stream.peer[position]
+                )
+            )
+        blocked_summary = describe_blocked_detail(details)
         if mismatched:
             detail = ", ".join(f"devices {a}<->{b}" for a, b in mismatched)
             raise CommunicationDeadlockError(
@@ -478,12 +472,12 @@ class InstructionExecutor:
                 "the posted send/receive orders of the two sides can never "
                 f"match: {blocked_summary}",
                 blocked_devices=blocked,
-                blocked_detail=blocked_detail,
+                blocked_detail=details,
             )
         raise CommunicationDeadlockError(
             "execution stalled: devices are waiting on transfers whose peer "
             "operation is never posted (missing or mis-ordered Start ops): "
             f"{blocked_summary}",
             blocked_devices=blocked,
-            blocked_detail=blocked_detail,
+            blocked_detail=details,
         )

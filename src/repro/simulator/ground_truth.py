@@ -7,15 +7,16 @@ differs from real hardware.  :class:`GroundTruth` holds those models for one
 pipeline and turns a replica plan into the
 :class:`~repro.backends.base.BackendOptions` its execution needs.
 
-Before the run, :meth:`GroundTruth.backend_options` evaluates the analytic
-model once per distinct ``(stage, shape, recompute)`` of the plan's compute
-instructions — stages with equal layer slices count as one — for the
-noise-free forward and backward kernel times, the tensor-parallel
-communication time and the activation bytes.  The duration
-callback the executor calls is then a lookup plus the device's one noise
-draw, in execution order — the same values, drawn in the same order, as
-evaluating the stage model on every call.  The tables belong to the options
-of one replica execution and go away with them.
+Before the run, :meth:`GroundTruth.backend_options` reads the plan's
+instruction columns and evaluates the analytic model once per distinct
+``(cost class, shape, recompute)`` of its compute ops — stages with equal
+layer slices share a cost class — for the noise-free forward and backward
+kernel times, the tensor-parallel communication time and the activation
+bytes, one table row each.  The executor prices every compute op by its row
+(:class:`~repro.simulator.executor.RowCost`): a lookup plus the device's one
+noise draw, in execution order — the same values, drawn in the same order,
+as evaluating the stage model on every call.  The tables belong to the
+options of one replica execution and go away with them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ from repro.backends.base import BackendOptions
 from repro.cluster.device import SimulatedGPU
 from repro.cluster.network import NetworkModel
 from repro.instructions.ops import BackwardPass, ForwardPass, PipelineInstruction
+from repro.instructions.streams import (
+    BACKWARD,
+    RECOMPUTE_MODES,
+    InstructionStreams,
+    encode_streams,
+)
 from repro.model.transformer import StageModel, build_stage_models
+from repro.simulator.executor import RowCost
 
 if TYPE_CHECKING:
     from repro.costmodel.cost_model import CostModel
@@ -68,32 +76,34 @@ class GroundTruth:
 
     def backend_options(
         self,
-        device_instructions: Sequence[Sequence[PipelineInstruction]],
+        device_instructions: InstructionStreams | Sequence[Sequence[PipelineInstruction]],
         gpu: SimulatedGPU,
     ) -> BackendOptions:
         """Options executing one replica plan on ``gpu``.
 
-        The callbacks answer for the instructions of ``device_instructions``
-        from tables built here; any other compute instruction is evaluated
-        on the spot, with the same result.
+        The compute costs are :class:`~repro.simulator.executor.RowCost`
+        tables built here from the plan's columns; any other compute
+        instruction is evaluated on the spot, with the same result.
         """
-        costs = _ReplicaCosts(self.stage_models, self.cost_class, gpu, device_instructions)
+        costs = _ReplicaCosts(
+            self.stage_models, self.cost_class, gpu, encode_streams(device_instructions)
+        )
         link = self.network.link_for(self.same_node)
         return BackendOptions(
-            compute_duration_fn=costs.duration,
+            compute_duration_fn=RowCost(costs.rows, costs.row_of, costs.duration_at),
             transfer_time_fn=lambda nbytes, src, dst: link.transfer_time_ms(nbytes),
-            activation_bytes_fn=costs.activation,
+            activation_bytes_fn=RowCost(costs.rows, costs.row_of, costs.activation_at),
             static_bytes=self.static_bytes,
         )
 
 
 class _ReplicaCosts:
-    """Per-instruction ground-truth costs of one replica plan.
+    """Ground-truth cost tables of one replica plan.
 
-    ``_entries`` maps ``id(instr)`` of every compute instruction of the plan
-    to ``(noise-free kernel ms, tensor-parallel ms, activation bytes)``; the
-    plan's streams hold the instructions, so their ids stay unique while
-    this object lives.
+    Row ``r`` is one distinct ``(cost class, shape, recompute)``; a compute
+    op's argument ``2 * r`` (forward) or ``2 * r + 1`` (backward) indexes
+    ``_kernel`` (noise-free kernel ms), ``_tp`` (tensor-parallel ms) and
+    ``_activation`` (activation bytes).
     """
 
     def __init__(
@@ -101,52 +111,67 @@ class _ReplicaCosts:
         stage_models: Sequence[StageModel],
         cost_class: Sequence[int],
         gpu: SimulatedGPU,
-        device_instructions: Sequence[Sequence[PipelineInstruction]],
+        streams: InstructionStreams,
     ) -> None:
-        self._stage_models = stage_models
-        self._cost_class = cost_class
-        self._gpu = gpu
-        self._instructions = device_instructions
-        self._memo: dict[tuple, tuple[float, float, float, float]] = {}
-        self._entries = {
-            id(instr): self._costs(instr)
-            for stream in device_instructions
-            for instr in stream
-            if isinstance(instr, (ForwardPass, BackwardPass))
-        }
+        self._stage_models, self._cost_class, self._gpu = stage_models, cost_class, gpu
+        self._index: dict[tuple, int] = {}
+        self._kernel: list[float] = []
+        self._tp: list[float] = []
+        self._activation: list[float] = []
+        self._streams = streams
+        self._rows = self._rows_of(streams)
 
-    def _costs(self, instr: PipelineInstruction) -> tuple[float, float, float]:
-        """(noise-free kernel ms, tensor-parallel ms, activation bytes) of a
-        compute instruction, evaluated once per (stage cost class, shape,
-        recompute)."""
+    def _row(self, cost_class: int, shape, recompute) -> int:
+        """The row of ``(cost_class, shape, recompute)``, evaluated on first use."""
+        key = (cost_class, shape, recompute)
+        row = self._index.get(key)
+        if row is None:
+            row = self._index[key] = len(self._index)
+            model, spec = self._stage_models[cost_class], self._gpu.spec
+            flops = model.forward_flops(shape)
+            tp_ms = model.tensor_parallel_comm_ms(shape)
+            activation = model.activation_bytes(shape, recompute)
+            self._kernel += (
+                model.pass_kernel_ms(spec, flops),
+                model.pass_kernel_ms(spec, flops, recompute),
+            )
+            self._tp += (tp_ms, tp_ms)
+            self._activation += (activation, activation)
+        return row
+
+    def _rows_of(self, streams: InstructionStreams) -> list[list[int]]:
+        rows = []
+        for stream in streams:
+            cost_class = self._cost_class[stream.device]
+            seen: dict[tuple[int, int], int] = {}
+            args = []
+            for code, shape, recompute in zip(stream.op, stream.shape, stream.recompute):
+                if code > BACKWARD:
+                    args.append(-1)
+                    continue
+                row = seen.get((shape, recompute))
+                if row is None:
+                    mode = RECOMPUTE_MODES[recompute]
+                    row = seen[(shape, recompute)] = self._row(cost_class, streams.shapes[shape], mode)
+                args.append(2 * row + code)
+            rows.append(args)
+        return rows
+
+    def rows(self, streams: InstructionStreams) -> list[list[int]]:
+        """Per device, the argument of each compute op of ``streams``."""
+        return self._rows if streams is self._streams else self._rows_of(streams)
+
+    def row_of(self, instr: PipelineInstruction) -> int:
+        """The argument of one compute instruction."""
         if not isinstance(instr, (ForwardPass, BackwardPass)):
             raise TypeError(f"not a compute instruction: {type(instr).__name__}")
-        key = (self._cost_class[instr.stage], instr.shape, instr.recompute)
-        costs = self._memo.get(key)
-        if costs is None:
-            costs = self._memo[key] = self._evaluate(*key)
-        forward_ms, backward_ms, tp_ms, activation = costs
-        return (backward_ms if isinstance(instr, BackwardPass) else forward_ms, tp_ms, activation)
+        row = self._row(self._cost_class[instr.stage], instr.shape, instr.recompute)
+        return 2 * row + isinstance(instr, BackwardPass)
 
-    def _evaluate(self, stage, shape, recompute) -> tuple[float, float, float, float]:
-        """(forward kernel ms, backward kernel ms, tensor-parallel ms,
-        activation bytes) of one stage and micro-batch, before noise."""
-        model = self._stage_models[stage]
-        spec = self._gpu.spec
-        cost = model.forward_flops(shape)
-        return (
-            model.pass_kernel_ms(spec, cost),
-            model.pass_kernel_ms(spec, cost, recompute),
-            model.tensor_parallel_comm_ms(shape),
-            model.activation_bytes(shape, recompute),
-        )
+    def duration_at(self, arg: int) -> float:
+        """Noisy execution time of a compute op (one noise draw)."""
+        return self._gpu.apply_noise(self._kernel[arg]) + self._tp[arg]
 
-    def duration(self, instr: PipelineInstruction) -> float:
-        """Noisy execution time of a compute instruction (one noise draw)."""
-        entry = self._entries.get(id(instr)) or self._costs(instr)
-        return self._gpu.apply_noise(entry[0]) + entry[1]
-
-    def activation(self, instr: PipelineInstruction) -> float:
-        """Activation bytes a compute instruction's micro-batch holds on its stage."""
-        entry = self._entries.get(id(instr)) or self._costs(instr)
-        return entry[2]
+    def activation_at(self, arg: int) -> float:
+        """Activation bytes a compute op's micro-batch holds on its stage."""
+        return self._activation[arg]

@@ -189,7 +189,7 @@ class TrainingSession:
         )
         return get_backend(
             self.config.execution_backend,
-            self.ground_truth.backend_options(plan.device_instructions, noisy_gpu),
+            self.ground_truth.backend_options(plan.streams, noisy_gpu),
             **(self.config.backend_options or {}),
         )
 
@@ -214,7 +214,7 @@ class TrainingSession:
         with _span("execute", num_replicas=len(plans)):
             for plan in plans:
                 backend = self._make_backend(plan)
-                result: ExecutionResult = backend.run(plan.device_instructions)
+                result: ExecutionResult = backend.run(plan.streams)
                 replica_times.append(result.makespan_ms)
                 peak_memory = max(peak_memory, max(result.peak_memory_bytes))
                 if collect:
@@ -322,9 +322,17 @@ class TrainingSession:
     def record_from_payload(
         self, iteration: int, payload: dict
     ) -> tuple[IterationRecord, PaddingStats]:
-        """Execute one pooled iteration's serialised plans and record it."""
+        """Execute one pooled iteration's serialised plans and record it.
+
+        Raises:
+            ~repro.instructions.serialization.PlanPayloadError: If a replica
+                plan is malformed or corrupt (naming this session's
+                ``system_name`` as the job).
+        """
         stats = PaddingStats.from_dict(payload["padding"])
-        replica_plans = [ExecutionPlan.from_dict(p) for p in payload["replicas"]]
+        replica_plans = [
+            ExecutionPlan.from_dict(p, job=self.system_name) for p in payload["replicas"]
+        ]
         predicted_ms = float(payload["predicted_iteration_ms"])
         predicted_peak = self._predicted_peak_bytes(replica_plans)
         if not self.config.execute_plans:

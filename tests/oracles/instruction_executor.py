@@ -19,6 +19,9 @@ from repro.instructions.ops import (
     CommDirection,
     ForwardPass,
     PipelineInstruction,
+    WaitRecvAct,
+    WaitSendAct,
+    WaitSendGrad,
     _CommStart,
     _CommWait,
 )
@@ -28,13 +31,44 @@ from repro.simulator.executor import (
     ExecutionResult,
     TransferKey,
     TransferTimeFn,
-    _transfer_key_for_start,
-    _transfer_key_for_wait,
-    blocked_instruction_detail,
     describe_blocked_detail,
 )
 from repro.simulator.memory_tracker import MemoryTracker
 from repro.simulator.trace import ExecutionTrace, TraceEvent
+
+
+def blocked_instruction_detail(
+    device: int, instr: PipelineInstruction
+) -> dict:
+    """The :attr:`CommunicationDeadlockError.blocked_detail` entry for a
+    device stuck on ``instr``."""
+    return {
+        "device": device,
+        "kind": instr.kind.value,
+        "microbatch": instr.microbatch,
+        "stage": instr.stage,
+        "peer": getattr(instr, "peer", -1),
+    }
+
+
+def _transfer_key_for_start(instr: _CommStart) -> TransferKey:
+    """Canonical transfer key for a Start instruction."""
+    if instr.is_send:
+        return (instr.stage, instr.peer, instr.microbatch, instr.direction)
+    return (instr.peer, instr.stage, instr.microbatch, instr.direction)
+
+
+def _transfer_key_for_wait(instr: _CommWait) -> TransferKey:
+    """Canonical transfer key for a Wait instruction."""
+    if isinstance(instr, (WaitSendAct, WaitSendGrad)):
+        direction = (
+            CommDirection.ACTIVATION if isinstance(instr, WaitSendAct) else CommDirection.GRADIENT
+        )
+        return (instr.stage, instr.peer, instr.microbatch, direction)
+    direction = (
+        CommDirection.ACTIVATION if isinstance(instr, WaitRecvAct) else CommDirection.GRADIENT
+    )
+    return (instr.peer, instr.stage, instr.microbatch, direction)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import cyclic_schedule
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
 from repro.simulator.engine import simulate_schedule
-from repro.simulator.executor import _transfer_key_for_start
+from oracles.instruction_executor import _transfer_key_for_start
 
 SHAPE = MicroBatchShape(batch_size=1, enc_seq_len=64)
 

@@ -29,6 +29,7 @@ from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import cyclic_schedule
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
 from repro.simulator.engine import simulate_schedule
+from repro.simulator.executor import InstructionExecutor
 
 SHAPE = MicroBatchShape(batch_size=2, enc_seq_len=128)
 
@@ -249,9 +250,7 @@ class TestAnchorLookup:
         )
         bisected = build_instruction_streams(schedule, op_times, shapes, transfer_shapes)
         monkeypatch.setattr(
-            comm_planner,
-            "_start_bounds",
-            lambda schedule, times: [[times[op][0] for op in s.ops] for s in schedule.stages],
+            comm_planner, "_start_bounds", lambda starts: [list(device) for device in starts]
         )
         monkeypatch.setattr(comm_planner, "_anchor_for_time", linear_anchor)
         scanned = build_instruction_streams(schedule, op_times, shapes, transfer_shapes)
@@ -260,8 +259,8 @@ class TestAnchorLookup:
     def test_start_bounds_are_running_maxima(self):
         schedule = one_f_one_b_schedule(2, 3)
         starts = iter([0.0, 2.0, 1.0, 3.0, 2.5, 4.0, 5.0, 1.5, 6.0, 6.0, 7.0, 0.5])
-        op_times = {op: (next(starts), 0.0) for stage in schedule.stages for op in stage.ops}
-        assert _start_bounds(schedule, op_times) == [
+        per_device = [[next(starts) for _ in stage.ops] for stage in schedule.stages]
+        assert _start_bounds(per_device) == [
             [0.0, 2.0, 2.0, 3.0, 3.0, 4.0],
             [5.0, 5.0, 6.0, 6.0, 7.0, 7.0],
         ]
@@ -289,6 +288,19 @@ class TestNaiveStreams:
 
 
 class TestCheckCommOrder:
+    def test_start_off_its_channel_raises_the_executor_error(self):
+        """A Start op on a channel its device is not an end of is the
+        executor's attributed ``ValueError`` (was a bare ``KeyError(0)``)."""
+        streams = [[SendActStart(0, 1, peer=2, nbytes=1.0)], [], []]
+        with pytest.raises(ValueError) as checked:
+            check_comm_order(streams)
+        with pytest.raises(ValueError) as executed:
+            InstructionExecutor(lambda instr: 1.0).run(streams)
+        assert str(checked.value) == str(executed.value) == (
+            "device 0 posts send_act_start at position 0 on channel (1, 2), "
+            "which it is not an end of"
+        )
+
     def test_consistent_trivial_exchange(self):
         streams = [
             [SendActStart(microbatch=0, stage=0, peer=1, nbytes=1.0)],

@@ -372,6 +372,70 @@ class TestStoreErrorFault:
         assert record.checkpoint.completed_iterations == 4
 
 
+class TestStoreCorruptFault:
+    def test_grammar_round_trips_and_generators_never_draw_it(self):
+        event = FaultEvent(time_ms=3.0, kind="store_corrupt", count=2)
+        plan = FaultPlan(events=[event])
+        assert FaultPlan.from_dicts(plan.to_dicts()).events == [event]
+        with pytest.raises(ValueError):
+            FaultEvent(time_ms=3.0, kind="store_corrupt", count=0)
+        topology = ClusterTopology.for_num_gpus(16)
+        for seed in range(200):
+            drawn = random_fault_plan(
+                topology, seed=seed, duration_ms=20_000.0, planner_fault_probability=1.0
+            )
+            assert "store_corrupt" not in drawn.counts()
+
+    def test_store_returns_a_corrupted_copy(self):
+        store = InstructionStore()
+        store.push(0, 0, {"checksum": 6, "metadata": {"iteration": 0}})
+        store.inject_corrupt_payloads(1)
+        corrupted = store.fetch(0, 0)
+        assert corrupted == {"checksum": 7, "metadata": {"iteration": 0}}
+        assert store.fetch(0, 0)["checksum"] == 6
+        with pytest.raises(ValueError):
+            store.inject_corrupt_payloads(0)
+
+    def test_corrupted_fetch_retries_that_job_and_completes_the_others(
+        self, pp2_cost_model, fleet_samples, planner_config, small_device
+    ):
+        """One corrupted plan fetch fails the consuming attempt with a
+        ``PlanPayloadError`` (not an escaped exception); that job retries
+        and every job finishes its iterations."""
+        topology = ClusterTopology.for_num_gpus(6, device_spec=small_device)
+        scheduler = FleetScheduler(
+            topology,
+            FleetConfig(
+                shared_planner_pool=True, planner_processes=1, planner_backend="thread"
+            ),
+        )
+        records = [
+            scheduler.submit(
+                make_spec(
+                    pp2_cost_model,
+                    fleet_samples,
+                    planner_config,
+                    name=f"job{index}",
+                    num_iterations=3,
+                    max_retries=3,
+                )
+            )
+            for index in range(3)
+        ]
+        FaultInjector(
+            FaultPlan(events=[FaultEvent(time_ms=8.0, kind="store_corrupt")])
+        ).apply(scheduler)
+        report = scheduler.run()
+        assert all(record.state == JobState.FINISHED for record in records)
+        assert all(record.checkpoint.completed_iterations == 3 for record in records)
+        [fault] = report.fault_log
+        assert (fault["kind"], fault["applied"]) == ("store_corrupt", 1)
+        retried = [record for record in records if record.retries]
+        assert len(retried) == 1
+        failed = [a for a in retried[0].attempts if a.outcome == "plan_failure"]
+        assert len(failed) == 1
+
+
 # ---------------------------------------------------------------------- backoff / deadline
 
 
@@ -740,6 +804,28 @@ class TestPlannerPoolChaosPrimitives:
             with pytest.raises(PlanFailedError, match="workers are dead"):
                 pool.wait_payload(3, timeout=60.0)
             assert time.perf_counter() - started < 30.0
+        finally:
+            pool.stop()
+
+    def test_wait_payload_fetches_plans_from_the_store(self, pool_planner, pool_minibatches):
+        """Consumers read each replica plan through the store: a transient
+        store fault is retried, and an armed corruption reaches them."""
+        pool = PlannerPool(
+            planner=pool_planner,
+            minibatches=pool_minibatches,
+            num_workers=1,
+            backend="thread",
+            lookahead=2,
+        )
+        pool.start()
+        try:
+            clean = pool.wait_payload(0)
+            pool.store.inject_transient_errors(3)
+            assert pool.wait_payload(0) == clean
+            pool.store.inject_corrupt_payloads(1)
+            corrupted = pool.wait_payload(0)
+            assert corrupted["replicas"][0]["checksum"] != clean["replicas"][0]["checksum"]
+            assert corrupted["replicas"][1:] == clean["replicas"][1:]
         finally:
             pool.stop()
 

@@ -18,7 +18,7 @@ from repro.instructions.ops import (
     WaitSendAct,
     WaitSendGrad,
 )
-from repro.instructions.serialization import (
+from oracles.instruction_dicts import (
     instruction_from_dict,
     instruction_to_dict,
     instructions_from_dicts,

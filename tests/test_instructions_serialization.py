@@ -26,16 +26,16 @@ from repro.instructions.ops import (
     _CommStart,
     _CommWait,
 )
-from repro.instructions.serialization import (
+from oracles.instruction_dicts import (
     instruction_from_dict,
-    instruction_signature,
     instruction_to_dict,
     instructions_from_dicts,
     instructions_to_dicts,
 )
+from repro.instructions.serialization import instruction_signature
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
-from repro.simulator.executor import _transfer_key_for_start, _transfer_key_for_wait
+from oracles.instruction_executor import _transfer_key_for_start, _transfer_key_for_wait
 
 SHAPE = MicroBatchShape(batch_size=2, enc_seq_len=128, dec_seq_len=32)
 ENC_ONLY_SHAPE = MicroBatchShape(batch_size=1, enc_seq_len=64)

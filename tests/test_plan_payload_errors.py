@@ -1,18 +1,25 @@
 """Malformed plan payloads fail with an attributed ``ValueError``.
 
-Plans cross process and store boundaries as dictionaries.  A payload with a
-missing or invalid field must not surface as a bare ``KeyError`` from deep
-inside the decoder: the error names the device, the stream position and
-the field, so a corrupted plan can be traced to where it went wrong.
+Plans cross process and store boundaries as dictionaries of integer
+columns.  A payload with a missing, invalid or corrupted field must not
+surface as a bare ``KeyError`` from deep inside the decoder: the
+:class:`PlanPayloadError` names the job, iteration, replica, device, stream
+position and the field, so a corrupted plan can be traced to where it went
+wrong.  The per-instruction dictionary codec the plans used before is kept
+in ``tests/oracles/instruction_dicts.py``; its cases run against it.
 """
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
 from repro.core.execution_plan import ExecutionPlan, PlanMetadata
+from repro.instructions.serialization import PlanPayloadError
 from repro.instructions.ops import ForwardPass, SendActStart, WaitSendAct
-from repro.instructions.serialization import (
+from oracles.instruction_dicts import (
     instruction_from_dict,
     instruction_to_dict,
     instructions_from_dicts,
@@ -129,9 +136,13 @@ class TestPlanPayloads:
 
     def test_bad_instruction_names_device_and_position(self):
         payload = small_plan().to_dict()
-        del payload["device_instructions"][1][1]["peer"]
-        with pytest.raises(ValueError, match=r"device 1 at stream position 1: missing field 'peer'"):
-            ExecutionPlan.from_dict(payload)
+        payload["device_instructions"][1]["peer"][1] = 7
+        with pytest.raises(
+            PlanPayloadError,
+            match=r"peer 7 out of range \[0, 2\) \(job 'jobA', iteration 3, replica 1, "
+            r"device 1, position 1\)",
+        ):
+            ExecutionPlan.from_dict(payload, job="jobA")
 
     def test_round_trip_shares_shapes(self):
         plan = small_plan()
@@ -141,3 +152,91 @@ class TestPlanPayloads:
         shapes = {id(restored.microbatch_shapes[0])}
         shapes |= {id(stream[0].shape) for stream in restored.device_instructions}
         assert len(shapes) == 1
+
+
+def bad_payload(column=None, device=1, position=1, value=None):
+    payload = small_plan().to_dict()
+    if column is not None:
+        payload["device_instructions"][device][column][position] = value
+    return payload
+
+
+#: (payload mutation, expected problem, device, position).
+ATTRIBUTED = "job 'jobA', iteration 3, replica 1, device {device}, position {position}"
+
+
+class TestColumnPayloads:
+    def expect(self, payload, problem, device="?", position="?"):
+        where = re.escape(ATTRIBUTED.format(device=device, position=position))
+        with pytest.raises(PlanPayloadError, match=problem + r".*\(" + where + r"\)") as info:
+            ExecutionPlan.from_dict(payload, job="jobA")
+        assert isinstance(info.value, ValueError)
+        assert (info.value.job, info.value.iteration, info.value.replica) == ("jobA", 3, 1)
+        return info.value
+
+    def test_unknown_format_version(self):
+        payload = bad_payload()
+        payload["format"] = 1
+        self.expect(payload, r"unknown format version 1 \(expected 2\)")
+        del payload["format"]
+        self.expect(payload, r"unknown format version None")
+
+    def test_checksum_mismatch(self):
+        payload = bad_payload("nbytes", device=0, position=1, value=65.0)
+        error = self.expect(payload, r"checksum mismatch")
+        assert error.device is None and error.position is None
+        payload = bad_payload()
+        payload["shapes"][0][0] = 3
+        self.expect(payload, r"checksum mismatch")
+
+    def test_unequal_column_lengths(self):
+        payload = bad_payload()
+        del payload["device_instructions"][1]["microbatch"][1]
+        self.expect(payload, r"columns of unequal length .*microbatch 1", device=1, position=1)
+
+    def test_missing_column(self):
+        payload = bad_payload()
+        del payload["device_instructions"][0]["recompute"]
+        self.expect(payload, r"missing field 'recompute'", device=0)
+
+    def test_unknown_opcode(self):
+        self.expect(bad_payload("op", 0, 0, 10), r"unknown opcode 10", device=0, position=0)
+        self.expect(bad_payload("op", 1, 1, -1), r"unknown opcode -1", device=1, position=1)
+
+    def test_microbatch_out_of_range(self):
+        self.expect(
+            bad_payload("microbatch", 1, 0, 1), r"micro-batch 1 out of range \[0, 1\)", 1, 0
+        )
+        self.expect(bad_payload("microbatch", 0, 1, -3), r"micro-batch -3 out of range", 0, 1)
+
+    def test_shape_index_out_of_range(self):
+        self.expect(bad_payload("shape", 0, 0, 1), r"shape index 1 out of range \[0, 1\)", 0, 0)
+        self.expect(bad_payload("shape", 1, 0, -1), r"shape index -1 out of range", 1, 0)
+
+    def test_peer_out_of_range(self):
+        self.expect(bad_payload("peer", 0, 1, 2), r"peer 2 out of range \[0, 2\)", 0, 1)
+        self.expect(bad_payload("peer", 0, 1, -1), r"peer -1 out of range", 0, 1)
+        self.expect(bad_payload("peer", 1, 0, 0), r"compute op with peer 0", 1, 0)
+
+    def test_recompute_code_out_of_range(self):
+        self.expect(bad_payload("recompute", 0, 0, 3), r"recompute code 3 out of range", 0, 0)
+
+    def test_negative_nbytes(self):
+        self.expect(bad_payload("nbytes", 0, 1, -1.0), r"nbytes -1.0 is negative", 0, 1)
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", None, 2**64])
+    def test_non_integer_entries(self, value):
+        self.expect(
+            bad_payload("microbatch", 1, 1, value),
+            rf"microbatch entry {re.escape(repr(value))} is not an integer",
+            1,
+            1,
+        )
+
+    def test_non_number_bytes(self):
+        self.expect(bad_payload("nbytes", 0, 1, "64"), r"nbytes entry .64. is not a number", 0, 1)
+
+    def test_valid_payload_round_trips_through_json(self):
+        payload = json.loads(json.dumps(small_plan().to_dict()))
+        assert ExecutionPlan.from_dict(payload).to_dict() == payload
+
